@@ -157,6 +157,102 @@ test "$(wc -l < target/serve_session.out)" -eq 3
 grep -q '"id":"u1","outcome":"ok","value":"updated"' target/serve_session.out
 grep -q '"id":"c1","outcome":"ok","value":"checked".*"rechecked":6' target/serve_session.out
 grep -q '"id":"r1","outcome":"ok","value":"42".*"reused":[1-9][0-9]*,"rechecked":1' target/serve_session.out
+# Stdlib-base gate: every sample, every documented error program and
+# one program with a `use` declaration go through `genus serve` (stdlib,
+# vm engine). Stateless requests are checked as extensions of the
+# process-wide stdlib base unless they could change a stdlib verdict;
+# either way each response must match `genus run` on value and output,
+# or carry exactly the error diagnostics `genus run` prints (short
+# format, same file name), or trap with the same code. A second
+# connection, opened after the first has drained, reads the metrics:
+# the `use` program must be counted in `base_fallbacks`.
+rm -rf target/base_gate
+python3 - <<'PY'
+import json, os, re, socket, subprocess
+genus = os.path.abspath("target/release/genus")
+root = os.path.abspath("target/base_gate")
+fuel = "10000000"
+progs = [(f[:-6], open("samples/" + f).read())
+         for f in sorted(os.listdir("samples")) if f.endswith(".genus")]
+doc = open("docs/ERRORS.md").read()
+progs += [("error%02d" % i, src)
+          for i, src in enumerate(re.findall(r"```genus\n(.*?)```", doc, re.S))]
+progs.append(("use", "model RevIntCmp for Comparable[int] {\n"
+              "  boolean equals(int that) { return this == that; }\n"
+              "  int compareTo(int that) { return that - this; }\n}\n"
+              "use RevIntCmp;\nint main() { TreeSet[int] s = new TreeSet[int]();"
+              " s.add(1); s.add(2); return s.first(); }\n"))
+
+def errors_only(short):
+    blocks = []
+    for line in short.splitlines():
+        if line.startswith(" ") and blocks:
+            blocks[-1].append(line)
+        elif line:
+            blocks.append([line])
+    return "\n".join("\n".join(b) for b in blocks if ": error[" in b[0])
+
+expected = {}
+for name, src in progs:
+    d = os.path.join(root, name)
+    os.makedirs(d)
+    with open(os.path.join(d, "request.genus"), "w") as f:
+        f.write(src)
+    run = subprocess.run([genus, "run", "--engine=vm", "--fuel=" + fuel,
+                          "--error-format=short", "request.genus"],
+                         cwd=d, capture_output=True, text=True)
+    if run.returncode == 0:
+        out, value = run.stdout, "void"
+        m = re.search(r"=> (.*)\n$", out)
+        if m:
+            out, value = out[:m.start()], m.group(1)
+        expected[name] = ("ok", value, out)
+    elif run.returncode == 1:
+        expected[name] = ("error", errors_only(run.stderr))
+    else:
+        code = re.search(r"error\[(R\d+)\]", run.stderr).group(1)
+        expected[name] = ("trap", code, run.stdout)
+
+server = subprocess.Popen([genus, "serve", "--workers=2", "--listen=127.0.0.1:0"],
+                          stderr=subprocess.PIPE, text=True)
+try:
+    host, port = re.search(r"listening on ([\d.]+):(\d+)",
+                           server.stderr.readline()).groups()
+
+    def session(reqs):
+        with socket.create_connection((host, int(port))) as s:
+            s.sendall("".join(json.dumps(r) + "\n" for r in reqs).encode())
+            s.shutdown(socket.SHUT_WR)
+            data = b""
+            while True:
+                chunk = s.recv(65536)
+                if not chunk:
+                    break
+                data += chunk
+        return [json.loads(line) for line in data.decode().splitlines()]
+
+    responses = session([{"id": name, "source": src, "engine": "vm", "fuel": int(fuel)}
+                         for name, src in progs])
+    metrics = json.loads(session([{"id": "m", "action": "metrics"}])[0]["value"])
+finally:
+    server.kill()
+    server.wait()
+assert len(responses) == len(progs)
+for resp in responses:
+    want = expected[resp["id"]]
+    if want[0] == "ok":
+        got = (resp["outcome"], resp.get("value"), resp["output"])
+    elif want[0] == "error":
+        got = (resp["outcome"], resp.get("message"))
+    else:
+        got = (resp["outcome"], resp.get("code"), resp["output"])
+    assert got == want, "%s: serve %r != run %r" % (resp["id"], got, want)
+cache = metrics["cache"]
+assert cache["base_fallbacks"] >= 1, cache
+assert cache["compiles"] == len(set(src for _, src in progs)), cache
+print("stdlib-base gate: %d programs, %d compiles, %d base fallbacks"
+      % (len(progs), cache["compiles"], cache["base_fallbacks"]))
+PY
 # Benchmarks must at least compile; running them is a manual step
 # (`cargo bench -p bench`), which also writes BENCH_vm.json.
 # --workspace: a bare `cargo bench --no-run` only builds the root

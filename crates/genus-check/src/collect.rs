@@ -19,6 +19,7 @@ use genus_types::{
     FieldDef, MethodDef, Model, ModelDef, ModelMethod, MvId, Table, TvId, Type, UseDef, WhereReq,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Lexical scope used while resolving types in signatures and bodies.
 #[derive(Debug, Clone, Default)]
@@ -439,18 +440,19 @@ fn pad_args(args: &[Type], want: usize) -> Vec<Type> {
 /// `diags`.
 pub fn collect(programs: &[ast::Program], diags: &mut Diagnostics) -> Table {
     let refs: Vec<&ast::Program> = programs.iter().collect();
-    collect_refs(&refs, diags)
+    let mut table = Table::new();
+    collect_into(&mut table, &refs, diags);
+    table
 }
 
-/// [`collect`] over borrowed programs — incremental sessions keep their
-/// parse trees in shared `Arc`s and collect from references.
-pub fn collect_refs(programs: &[&ast::Program], diags: &mut Diagnostics) -> Table {
-    let mut table = Table::new();
-    register_names(programs, &mut table, diags);
-    collect_headers(programs, &mut table, diags);
-    genus_types::variance::store_variances(&mut table);
-    check_prereq_cycles(&table, diags);
-    table
+/// Collects `programs` into `table`, which may already hold the
+/// declarations of earlier units (a library prefix): new declarations
+/// get ids after the existing ones and may refer to them by name.
+pub fn collect_into(table: &mut Table, programs: &[&ast::Program], diags: &mut Diagnostics) {
+    register_names(programs, table, diags);
+    collect_headers(programs, table, diags);
+    genus_types::variance::store_variances(table);
+    check_prereq_cycles(table, diags);
 }
 
 fn register_names(programs: &[&ast::Program], table: &mut Table, diags: &mut Diagnostics) {
@@ -513,6 +515,29 @@ fn register_names(programs: &[&ast::Program], table: &mut Table, diags: &mut Dia
     }
 }
 
+/// The class registered under `name` by the declaration at `span` —
+/// `None` for a duplicate, which registration reported (E0201) and which
+/// must not overwrite the first declaration's header.
+fn own_class(table: &Table, name: Symbol, span: Span) -> Option<ClassId> {
+    table
+        .lookup_class(name)
+        .filter(|&c| table.class(c).span == span)
+}
+
+/// [`own_class`] for constraints.
+fn own_constraint(table: &Table, name: Symbol, span: Span) -> Option<ConstraintId> {
+    table
+        .lookup_constraint(name)
+        .filter(|&k| table.constraint(k).span == span)
+}
+
+/// [`own_class`] for models.
+fn own_model(table: &Table, name: Symbol, span: Span) -> Option<genus_types::ModelId> {
+    table
+        .lookup_model(name)
+        .filter(|&m| table.model(m).span == span)
+}
+
 fn placeholder_class(name: Symbol, is_interface: bool, is_abstract: bool, span: Span) -> ClassDef {
     ClassDef {
         name,
@@ -535,38 +560,48 @@ fn collect_headers(programs: &[&ast::Program], table: &mut Table, diags: &mut Di
     // parameters of both are registered before any type is resolved.
     for p in programs {
         for d in &p.decls {
+            table.enter_file(d.span().file);
             if let ast::Decl::Constraint(c) = d {
-                let Some(kid) = table.lookup_constraint(c.name) else {
+                let Some(kid) = own_constraint(table, c.name, c.span) else {
                     continue;
                 };
                 let mut params = Vec::new();
                 for tp in &c.params {
                     params.push(table.fresh_tv(tp.name));
                 }
-                table.constraints[kid.0 as usize].params = params;
+                Arc::make_mut(&mut table.constraints[kid.0 as usize]).params = params;
             }
         }
     }
     for p in programs {
         for d in &p.decls {
+            table.enter_file(d.span().file);
             match d {
-                ast::Decl::Class(c) => register_class_params(c.name, &c.generics, table),
-                ast::Decl::Interface(i) => register_class_params(i.name, &i.generics, table),
+                ast::Decl::Class(c) => register_class_params(c.name, c.span, &c.generics, table),
+                ast::Decl::Interface(i) => {
+                    register_class_params(i.name, i.span, &i.generics, table)
+                }
                 _ => {}
             }
         }
     }
     for p in programs {
         for d in &p.decls {
+            table.enter_file(d.span().file);
             match d {
-                ast::Decl::Class(c) => collect_class_wheres(c.name, &c.generics, table, diags),
-                ast::Decl::Interface(i) => collect_class_wheres(i.name, &i.generics, table, diags),
+                ast::Decl::Class(c) => {
+                    collect_class_wheres(c.name, c.span, &c.generics, table, diags)
+                }
+                ast::Decl::Interface(i) => {
+                    collect_class_wheres(i.name, i.span, &i.generics, table, diags)
+                }
                 _ => {}
             }
         }
     }
     for p in programs {
         for d in &p.decls {
+            table.enter_file(d.span().file);
             if let ast::Decl::Constraint(c) = d {
                 collect_constraint(c, table, diags);
             }
@@ -576,6 +611,7 @@ fn collect_headers(programs: &[&ast::Program], table: &mut Table, diags: &mut Di
     // explicit models and by use declarations.
     for p in programs {
         for d in &p.decls {
+            table.enter_file(d.span().file);
             if let ast::Decl::Model(m) = d {
                 collect_model_header(m, table, diags);
             }
@@ -584,6 +620,7 @@ fn collect_headers(programs: &[&ast::Program], table: &mut Table, diags: &mut Di
     // Class bodies: supertypes, fields, ctors, methods.
     for p in programs {
         for d in &p.decls {
+            table.enter_file(d.span().file);
             match d {
                 ast::Decl::Class(c) => collect_class_body(c, table, diags),
                 ast::Decl::Interface(i) => collect_interface_body(i, table, diags),
@@ -594,6 +631,7 @@ fn collect_headers(programs: &[&ast::Program], table: &mut Table, diags: &mut Di
     // Model bodies (method signatures) and extends.
     for p in programs {
         for d in &p.decls {
+            table.enter_file(d.span().file);
             if let ast::Decl::Model(m) = d {
                 collect_model_body(m, table, diags);
             }
@@ -602,6 +640,7 @@ fn collect_headers(programs: &[&ast::Program], table: &mut Table, diags: &mut Di
     // Enrichments.
     for p in programs {
         for d in &p.decls {
+            table.enter_file(d.span().file);
             if let ast::Decl::Enrich(e) = d {
                 collect_enrich(e, table, diags);
             }
@@ -610,10 +649,11 @@ fn collect_headers(programs: &[&ast::Program], table: &mut Table, diags: &mut Di
     // Top-level methods.
     for p in programs {
         for d in &p.decls {
+            table.enter_file(d.span().file);
             if let ast::Decl::Method(m) = d {
                 let scope = Scope::new();
                 if let Some(def) = collect_method(m, &scope, table, diags) {
-                    table.globals.push(def);
+                    table.globals.push(Arc::new(def));
                 }
             }
         }
@@ -621,6 +661,7 @@ fn collect_headers(programs: &[&ast::Program], table: &mut Table, diags: &mut Di
     // Use declarations.
     for p in programs {
         for d in &p.decls {
+            table.enter_file(d.span().file);
             if let ast::Decl::Use(u) = d {
                 collect_use(u, table, diags);
             }
@@ -629,7 +670,7 @@ fn collect_headers(programs: &[&ast::Program], table: &mut Table, diags: &mut Di
 }
 
 fn collect_constraint(c: &ast::ConstraintDecl, table: &mut Table, diags: &mut Diagnostics) {
-    let Some(kid) = table.lookup_constraint(c.name) else {
+    let Some(kid) = own_constraint(table, c.name, c.span) else {
         return;
     };
     let params = table.constraint(kid).params.clone();
@@ -688,28 +729,29 @@ fn collect_constraint(c: &ast::ConstraintDecl, table: &mut Table, diags: &mut Di
             span: m.span,
         });
     }
-    table.constraints[kid.0 as usize].prereqs = prereqs;
-    table.constraints[kid.0 as usize].ops = ops;
+    Arc::make_mut(&mut table.constraints[kid.0 as usize]).prereqs = prereqs;
+    Arc::make_mut(&mut table.constraints[kid.0 as usize]).ops = ops;
 }
 
-fn register_class_params(name: Symbol, generics: &ast::GenericSig, table: &mut Table) {
-    let Some(cid) = table.lookup_class(name) else {
+fn register_class_params(name: Symbol, span: Span, generics: &ast::GenericSig, table: &mut Table) {
+    let Some(cid) = own_class(table, name, span) else {
         return;
     };
     let mut params = Vec::new();
     for tp in &generics.type_params {
         params.push(table.fresh_tv(tp.name));
     }
-    table.classes[cid.0 as usize].params = params;
+    Arc::make_mut(&mut table.classes[cid.0 as usize]).params = params;
 }
 
 fn collect_class_wheres(
     name: Symbol,
+    span: Span,
     generics: &ast::GenericSig,
     table: &mut Table,
     diags: &mut Diagnostics,
 ) {
-    let Some(cid) = table.lookup_class(name) else {
+    let Some(cid) = own_class(table, name, span) else {
         return;
     };
     let params = table.class(cid).params.clone();
@@ -724,7 +766,7 @@ fn collect_class_wheres(
             wheres.push(req);
         }
     }
-    table.classes[cid.0 as usize].wheres = wheres;
+    Arc::make_mut(&mut table.classes[cid.0 as usize]).wheres = wheres;
 }
 
 /// Rebuilds the scope of a class from its collected header.
@@ -743,7 +785,7 @@ pub fn class_scope(table: &Table, cid: ClassId, generics: &ast::GenericSig) -> S
 }
 
 fn collect_class_body(c: &ast::ClassDecl, table: &mut Table, diags: &mut Diagnostics) {
-    let Some(cid) = table.lookup_class(c.name) else {
+    let Some(cid) = own_class(table, c.name, c.span) else {
         return;
     };
     let scope = class_scope(table, cid, &c.generics);
@@ -801,7 +843,7 @@ fn collect_class_body(c: &ast::ClassDecl, table: &mut Table, diags: &mut Diagnos
         }
     }
     check_member_clashes(&methods, &ctors, table, diags);
-    let def = &mut table.classes[cid.0 as usize];
+    let def = Arc::make_mut(&mut table.classes[cid.0 as usize]);
     def.extends = extends;
     def.implements = implements;
     def.fields = fields;
@@ -810,7 +852,7 @@ fn collect_class_body(c: &ast::ClassDecl, table: &mut Table, diags: &mut Diagnos
 }
 
 fn collect_interface_body(i: &ast::InterfaceDecl, table: &mut Table, diags: &mut Diagnostics) {
-    let Some(cid) = table.lookup_class(i.name) else {
+    let Some(cid) = own_class(table, i.name, i.span) else {
         return;
     };
     let scope = class_scope(table, cid, &i.generics);
@@ -823,7 +865,7 @@ fn collect_interface_body(i: &ast::InterfaceDecl, table: &mut Table, diags: &mut
         }
     }
     check_member_clashes(&methods, &[], table, diags);
-    let def = &mut table.classes[cid.0 as usize];
+    let def = Arc::make_mut(&mut table.classes[cid.0 as usize]);
     def.implements = extends;
     def.methods = methods;
 }
@@ -905,7 +947,7 @@ fn collect_method(
 }
 
 fn collect_model_header(m: &ast::ModelDecl, table: &mut Table, diags: &mut Diagnostics) {
-    let Some(mid) = table.lookup_model(m.name) else {
+    let Some(mid) = own_model(table, m.name, m.span) else {
         return;
     };
     let mut scope = Scope::new();
@@ -933,9 +975,9 @@ fn collect_model_header(m: &ast::ModelDecl, table: &mut Table, diags: &mut Diagn
             id: ConstraintId(0),
             args: vec![Type::Null; fallback_arity],
         });
-    table.models[mid.0 as usize].tparams = tparams;
-    table.models[mid.0 as usize].wheres = wheres;
-    table.models[mid.0 as usize].for_inst = for_inst;
+    Arc::make_mut(&mut table.models[mid.0 as usize]).tparams = tparams;
+    Arc::make_mut(&mut table.models[mid.0 as usize]).wheres = wheres;
+    Arc::make_mut(&mut table.models[mid.0 as usize]).for_inst = for_inst;
 }
 
 /// Rebuilds the scope of a model from its collected header.
@@ -954,7 +996,7 @@ pub fn model_scope(table: &Table, mid: genus_types::ModelId, generics: &ast::Gen
 }
 
 fn collect_model_body(m: &ast::ModelDecl, table: &mut Table, diags: &mut Diagnostics) {
-    let Some(mid) = table.lookup_model(m.name) else {
+    let Some(mid) = own_model(table, m.name, m.span) else {
         return;
     };
     let scope = model_scope(table, mid, &m.generics);
@@ -968,8 +1010,8 @@ fn collect_model_body(m: &ast::ModelDecl, table: &mut Table, diags: &mut Diagnos
     for d in &m.methods {
         methods.push(resolve_model_method(&mut r, &scope, &for_inst, d, false));
     }
-    table.models[mid.0 as usize].extends = extends;
-    table.models[mid.0 as usize].methods = methods;
+    Arc::make_mut(&mut table.models[mid.0 as usize]).extends = extends;
+    Arc::make_mut(&mut table.models[mid.0 as usize]).methods = methods;
 }
 
 fn resolve_model_method(
@@ -1041,7 +1083,9 @@ fn collect_enrich(e: &ast::EnrichDecl, table: &mut Table, diags: &mut Diagnostic
     for d in &e.methods {
         methods.push(resolve_model_method(&mut r, &scope, &for_inst, d, true));
     }
-    table.models[mid.0 as usize].methods.extend(methods);
+    Arc::make_mut(&mut table.models[mid.0 as usize])
+        .methods
+        .extend(methods);
 }
 
 fn collect_use(u: &ast::UseDecl, table: &mut Table, diags: &mut Diagnostics) {
@@ -1063,13 +1107,13 @@ fn collect_use(u: &ast::UseDecl, table: &mut Table, diags: &mut Diagnostics) {
                         type_args: tparams.iter().map(|t| Type::Var(*t)).collect(),
                         model_args: wheres.iter().map(|w| Model::Var(w.mv)).collect(),
                     };
-                    table.uses.push(UseDef {
+                    table.uses.push(Arc::new(UseDef {
                         tparams,
                         wheres,
                         model,
                         for_inst,
                         span: u.span,
-                    });
+                    }));
                     return;
                 }
                 diags.error(
@@ -1129,13 +1173,13 @@ fn collect_use(u: &ast::UseDecl, table: &mut Table, diags: &mut Diagnostics) {
             }
         },
     };
-    table.uses.push(UseDef {
+    table.uses.push(Arc::new(UseDef {
         tparams,
         wheres,
         model,
         for_inst,
         span: u.span,
-    });
+    }));
 }
 
 fn check_prereq_cycles(table: &Table, diags: &mut Diagnostics) {

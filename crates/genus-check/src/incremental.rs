@@ -116,12 +116,12 @@ type VKey = (u32, Fp, Fp);
 /// A unit's checked artifacts: the HIR bodies it contributed to the program.
 #[derive(Debug, Default, Clone)]
 struct Fragment {
-    method_bodies: Vec<((u32, u32), crate::hir::Body)>,
-    ctor_bodies: Vec<((u32, u32), crate::hir::Body)>,
-    global_bodies: Vec<(u32, crate::hir::Body)>,
-    model_bodies: Vec<((u32, u32), crate::hir::Body)>,
-    field_inits: Vec<((u32, u32), crate::hir::Expr)>,
-    static_inits: Vec<(ClassId, usize, crate::hir::Expr)>,
+    method_bodies: Vec<((u32, u32), Arc<crate::hir::Body>)>,
+    ctor_bodies: Vec<((u32, u32), Arc<crate::hir::Body>)>,
+    global_bodies: Vec<(u32, Arc<crate::hir::Body>)>,
+    model_bodies: Vec<((u32, u32), Arc<crate::hir::Body>)>,
+    field_inits: Vec<((u32, u32), Arc<crate::hir::Expr>)>,
+    static_inits: Vec<(ClassId, usize, Arc<crate::hir::Expr>)>,
 }
 
 /// A memoized per-unit check verdict.
@@ -426,7 +426,7 @@ impl Session {
         if !reuse_prefix {
             let mut diags = Diagnostics::new();
             let programs: Vec<&ast::Program> = parsed.iter().map(|p| p.program.as_ref()).collect();
-            let table = crate::build_prefix(&programs, &mut diags);
+            let table = crate::build_prefix(&programs, self.library_files(), &mut diags);
             let prefix_diags = diags.take();
             let prefix_diag_files = diag_file_snapshot(&prefix_diags, &content_fps);
             let def_fps: Vec<Fp> = self
@@ -604,6 +604,13 @@ impl Session {
         self.verdicts.insert(key, v);
     }
 
+    /// The number of leading always-visible units (the prelude and any
+    /// seeded library): the files whose declarations form the program's
+    /// library segment (see [`Table::set_library_files`]).
+    fn library_files(&self) -> u32 {
+        self.units.iter().take_while(|u| u.always_visible).count() as u32
+    }
+
     /// The set of unit indices visible to unit `i` (always includes `i`).
     ///
     /// A unit with explicit `import`s or implicit deps sees the prelude and
@@ -726,7 +733,7 @@ fn def_fp(table: &Table, file: FileId, unit_idx: usize) -> Fp {
         if c.span.file != file {
             continue;
         }
-        let mut c = c.clone();
+        let mut c = (**c).clone();
         c.span = Span::dummy();
         for f in &mut c.fields {
             f.span = Span::dummy();
@@ -746,7 +753,7 @@ fn def_fp(table: &Table, file: FileId, unit_idx: usize) -> Fp {
         if k.span.file != file {
             continue;
         }
-        let mut k = k.clone();
+        let mut k = (**k).clone();
         k.span = Span::dummy();
         for op in &mut k.ops {
             op.span = Span::dummy();
@@ -759,7 +766,7 @@ fn def_fp(table: &Table, file: FileId, unit_idx: usize) -> Fp {
         // method belongs to the fingerprint of its *declaring* file, keyed
         // by its index (restored model bodies are keyed `(model, index)`).
         if m.span.file == file {
-            let mut hdr = m.clone();
+            let mut hdr = (**m).clone();
             hdr.span = Span::dummy();
             hdr.methods.clear();
             let _ = write!(s, "model {mi} {hdr:?};");
@@ -778,7 +785,7 @@ fn def_fp(table: &Table, file: FileId, unit_idx: usize) -> Fp {
         if u.span.file != file {
             continue;
         }
-        let mut u = u.clone();
+        let mut u = (**u).clone();
         u.span = Span::dummy();
         let _ = write!(s, "use {ui} {u:?};");
     }
@@ -786,7 +793,7 @@ fn def_fp(table: &Table, file: FileId, unit_idx: usize) -> Fp {
         if g.span.file != file {
             continue;
         }
-        let mut g = g.clone();
+        let mut g = (**g).clone();
         g.span = Span::dummy();
         g.body = None;
         let _ = write!(s, "global {gi} {g:?};");
@@ -977,7 +984,7 @@ fn patch_unit(table: &mut Table, prog: &ast::Program, file: FileId) -> bool {
             ast::Decl::Class(d) => {
                 let Some(&ci) = cls.get(ic) else { return false };
                 ic += 1;
-                let def = &mut table.classes[ci];
+                let def = Arc::make_mut(&mut table.classes[ci]);
                 if def.name != d.name
                     || def.fields.len() != d.fields.len()
                     || def.ctors.len() != d.ctors.len()
@@ -1002,7 +1009,7 @@ fn patch_unit(table: &mut Table, prog: &ast::Program, file: FileId) -> bool {
             ast::Decl::Interface(d) => {
                 let Some(&ci) = cls.get(ic) else { return false };
                 ic += 1;
-                let def = &mut table.classes[ci];
+                let def = Arc::make_mut(&mut table.classes[ci]);
                 if def.name != d.name || def.methods.len() != d.methods.len() {
                     return false;
                 }
@@ -1017,7 +1024,7 @@ fn patch_unit(table: &mut Table, prog: &ast::Program, file: FileId) -> bool {
                     return false;
                 };
                 ik += 1;
-                let def = &mut table.constraints[ki];
+                let def = Arc::make_mut(&mut table.constraints[ki]);
                 if def.name != d.name || def.ops.len() != d.methods.len() {
                     return false;
                 }
@@ -1031,7 +1038,7 @@ fn patch_unit(table: &mut Table, prog: &ast::Program, file: FileId) -> bool {
                     return false;
                 };
                 im += 1;
-                let def = &mut table.models[mi];
+                let def = Arc::make_mut(&mut table.models[mi]);
                 if def.name != d.name {
                     return false;
                 }
@@ -1050,7 +1057,7 @@ fn patch_unit(table: &mut Table, prog: &ast::Program, file: FileId) -> bool {
                 let Some(&mi) = table.model_by_name.get(&d.target) else {
                     return false;
                 };
-                let def = &mut table.models[mi.0 as usize];
+                let def = Arc::make_mut(&mut table.models[mi.0 as usize]);
                 let cursor = enrich_cursor.entry(mi.0).or_insert(0);
                 for md in &d.methods {
                     let mut found = None;
@@ -1071,14 +1078,14 @@ fn patch_unit(table: &mut Table, prog: &ast::Program, file: FileId) -> bool {
                     return false;
                 };
                 iu += 1;
-                table.uses[ui].span = d.span;
+                Arc::make_mut(&mut table.uses[ui]).span = d.span;
             }
             ast::Decl::Method(d) => {
                 let Some(&gi) = globs.get(ig) else {
                     return false;
                 };
                 ig += 1;
-                let def = &mut table.globals[gi];
+                let def = Arc::make_mut(&mut table.globals[gi]);
                 if def.name != d.name {
                     return false;
                 }

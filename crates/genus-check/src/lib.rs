@@ -20,6 +20,7 @@
 //! assert!(out.main_index().is_some());
 //! ```
 
+pub mod base;
 pub mod body;
 pub mod collect;
 pub mod entail;
@@ -42,24 +43,28 @@ use genus_common::{Diagnostic, Diagnostics, ErrorFormat, Severity, SourceMap, Sy
 use genus_syntax::ast;
 use genus_types::{ClassId, Model, ModelId, Table, Type};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The result of checking: the table plus lowered bodies, ready to run.
+///
+/// Bodies sit behind `Arc`s so a program that extends a prebuilt library
+/// (see [`base`]) shares the library's HIR instead of copying it.
 #[derive(Debug)]
 pub struct CheckedProgram {
     /// The semantic declaration table.
     pub table: Table,
     /// Instance/static method bodies: `(class, method index)`.
-    pub method_bodies: HashMap<(u32, u32), hir::Body>,
+    pub method_bodies: HashMap<(u32, u32), Arc<hir::Body>>,
     /// Constructor bodies: `(class, ctor index)`.
-    pub ctor_bodies: HashMap<(u32, u32), hir::Body>,
+    pub ctor_bodies: HashMap<(u32, u32), Arc<hir::Body>>,
     /// Top-level method bodies, by global index.
-    pub global_bodies: HashMap<u32, hir::Body>,
+    pub global_bodies: HashMap<u32, Arc<hir::Body>>,
     /// Model method bodies: `(model, method index)`.
-    pub model_bodies: HashMap<(u32, u32), hir::Body>,
+    pub model_bodies: HashMap<(u32, u32), Arc<hir::Body>>,
     /// Instance field initializers: `(class, field index)` — run at `new`.
-    pub field_inits: HashMap<(u32, u32), hir::Expr>,
+    pub field_inits: HashMap<(u32, u32), Arc<hir::Expr>>,
     /// Static field initializers in declaration order — run at startup.
-    pub static_inits: Vec<(ClassId, usize, hir::Expr)>,
+    pub static_inits: Vec<(ClassId, usize, Arc<hir::Expr>)>,
 }
 
 impl CheckedProgram {
@@ -178,7 +183,7 @@ pub fn check_sources_report(sources: &[(&str, &str)]) -> CheckReport {
 /// included by the caller; [`check_sources`] does this automatically).
 pub fn check_program(programs: &[ast::Program], diags: &mut Diagnostics) -> CheckedProgram {
     let refs: Vec<&ast::Program> = programs.iter().collect();
-    let table = build_prefix(&refs, diags);
+    let table = build_prefix(&refs, 0, diags);
     let mut checked = new_checked_shell(table);
     check_bodies_filter(&mut checked, diags, None);
     checked
@@ -188,20 +193,52 @@ pub fn check_program(programs: &[ast::Program], diags: &mut Diagnostics) -> Chec
 /// variance, the termination restriction, signature completion, multimethod
 /// conformance, and hierarchy well-formedness. The result is the "semantic
 /// prefix" incremental sessions key by the interface fingerprints of all
-/// units.
-pub(crate) fn build_prefix(programs: &[&ast::Program], diags: &mut Diagnostics) -> Table {
-    let mut table = collect::collect_refs(programs, diags);
+/// units. The first `library_files` files are library units (see
+/// [`Table::set_library_files`]).
+pub(crate) fn build_prefix(
+    programs: &[&ast::Program],
+    library_files: u32,
+    diags: &mut Diagnostics,
+) -> Table {
+    let mut table = Table::new();
+    table.set_library_files(library_files);
+    collect::collect_into(&mut table, programs, diags);
     termination::check_use_termination(&table, diags);
-    complete_signatures(&mut table, diags);
+    complete_signatures(&mut table, DeclCounts::default(), diags);
     // Signature completion rewrites types in place, which existing cache
     // entries could observe; drop them. The table is only read from here
     // on, so the caches filled below stay valid for good.
     table.cache.clear();
-    for i in 0..table.models.len() {
-        multimethod::check_model_conformance(&table, ModelId(i as u32), diags);
-    }
-    wf::check_hierarchy(&table, diags);
+    check_declarations(&table, DeclCounts::default(), diags);
     table
+}
+
+/// Numbers of declarations of each kind in a table: where the ids of a
+/// later extension's own declarations start.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct DeclCounts {
+    classes: usize,
+    models: usize,
+    globals: usize,
+}
+
+impl DeclCounts {
+    pub(crate) fn of(table: &Table) -> DeclCounts {
+        DeclCounts {
+            classes: table.classes.len(),
+            models: table.models.len(),
+            globals: table.globals.len(),
+        }
+    }
+}
+
+/// Multimethod conformance of the models, and hierarchy well-formedness
+/// of the classes, declared after `from`.
+fn check_declarations(table: &Table, from: DeclCounts, diags: &mut Diagnostics) {
+    for i in from.models..table.models.len() {
+        multimethod::check_model_conformance(table, ModelId(i as u32), diags);
+    }
+    wf::check_hierarchy(table, from.classes, diags);
 }
 
 /// An empty [`CheckedProgram`] around a prefix table, to be filled by
@@ -277,14 +314,15 @@ fn self_model(table: &Table, mid: ModelId) -> Model {
     }
 }
 
-/// Completes elided `with`-clause models in all collected signatures, using
-/// each declaration's own context (its `where` clauses) as the enablement
-/// environment.
-fn complete_signatures(table: &mut Table, diags: &mut Diagnostics) {
+/// Completes elided `with`-clause models in the signatures declared after
+/// `from`, using each declaration's own context (its `where` clauses) as
+/// the enablement environment.
+fn complete_signatures(table: &mut Table, from: DeclCounts, diags: &mut Diagnostics) {
     // Classes.
-    for ci in 0..table.classes.len() {
+    for ci in from.classes..table.classes.len() {
         let cid = ClassId(ci as u32);
         let def = table.classes[ci].clone();
+        table.enter_file(def.span.file);
         let scope = scope_of_class(table, cid);
         let enabled = enabled_of(&def.wheres);
         let span = def.span;
@@ -336,7 +374,9 @@ fn complete_signatures(table: &mut Table, diags: &mut Diagnostics) {
             let ret = mctx.complete_type(m.ret.clone(), m.span);
             method_sigs.push((params, ret));
         }
-        let d = &mut table.classes[ci];
+        // Release the snapshot first so the write reuses the allocation.
+        drop(def);
+        let d = Arc::make_mut(&mut table.classes[ci]);
         d.extends = extends;
         d.implements = implements;
         for (f, t) in d.fields.iter_mut().zip(fields) {
@@ -355,9 +395,10 @@ fn complete_signatures(table: &mut Table, diags: &mut Diagnostics) {
         }
     }
     // Models.
-    for mi in 0..table.models.len() {
+    for mi in from.models..table.models.len() {
         let mid = ModelId(mi as u32);
         let def = table.models[mi].clone();
+        table.enter_file(def.span.file);
         let scope = scope_of_model(table, mid);
         let mut enabled = enabled_of(&def.wheres);
         enabled.push((def.for_inst.clone(), self_model(table, mid)));
@@ -389,7 +430,9 @@ fn complete_signatures(table: &mut Table, diags: &mut Diagnostics) {
             })
             .collect();
         drop(ctx);
-        let d = &mut table.models[mi];
+        // Release the snapshot first so the write reuses the allocation.
+        drop(def);
+        let d = Arc::make_mut(&mut table.models[mi]);
         d.for_inst.args = for_args;
         d.extends = extends;
         for (m, (recv, ps, ret)) in d.methods.iter_mut().zip(methods) {
@@ -401,8 +444,9 @@ fn complete_signatures(table: &mut Table, diags: &mut Diagnostics) {
         }
     }
     // Globals.
-    for gi in 0..table.globals.len() {
+    for gi in from.globals..table.globals.len() {
         let g = table.globals[gi].clone();
+        table.enter_file(g.span.file);
         let mut scope = Scope::new();
         for tv in &g.tparams {
             scope.tvs.insert(table.tv_name(*tv), *tv);
@@ -421,7 +465,9 @@ fn complete_signatures(table: &mut Table, diags: &mut Diagnostics) {
             .collect();
         let ret = ctx.complete_type(g.ret.clone(), g.span);
         drop(ctx);
-        let d = &mut table.globals[gi];
+        // Release the snapshot first so the write reuses the allocation.
+        drop(g);
+        let d = Arc::make_mut(&mut table.globals[gi]);
         for (p, t) in d.params.iter_mut().zip(params) {
             p.1 = t;
         }
@@ -450,6 +496,7 @@ pub(crate) fn check_bodies_filter(
             continue;
         }
         let def = table.classes[ci].clone();
+        table.enter_file(def.span.file);
         let scope = scope_of_class(table, cid);
         let enabled = enabled_of(&def.wheres);
         let this_ty = self_type(table, cid);
@@ -476,9 +523,9 @@ pub(crate) fn check_bodies_filter(
                 let h = ctx.coerce(h, &f.ty, init.span);
                 drop(ctx);
                 if f.is_static {
-                    checked.static_inits.push((cid, fi, h));
+                    checked.static_inits.push((cid, fi, Arc::new(h)));
                 } else {
-                    checked.field_inits.insert((cid.0, fi as u32), h);
+                    checked.field_inits.insert((cid.0, fi as u32), Arc::new(h));
                 }
             }
         }
@@ -499,9 +546,10 @@ pub(crate) fn check_bodies_filter(
             }
             let block = ctx.check_block(&ctor.body);
             let num_locals = ctx.finish();
-            checked
-                .ctor_bodies
-                .insert((cid.0, ki as u32), hir::Body { num_locals, block });
+            checked.ctor_bodies.insert(
+                (cid.0, ki as u32),
+                Arc::new(hir::Body { num_locals, block }),
+            );
         }
         // Methods.
         for (mi, m) in def.methods.iter().enumerate() {
@@ -541,9 +589,10 @@ pub(crate) fn check_bodies_filter(
             }
             let block = ctx.check_block(body);
             let num_locals = ctx.finish();
-            checked
-                .method_bodies
-                .insert((cid.0, mi as u32), hir::Body { num_locals, block });
+            checked.method_bodies.insert(
+                (cid.0, mi as u32),
+                Arc::new(hir::Body { num_locals, block }),
+            );
         }
     }
     // Model methods.
@@ -557,6 +606,7 @@ pub(crate) fn check_bodies_filter(
             if !owned(m.span) {
                 continue;
             }
+            table.enter_file(m.span.file);
             let mut ctx = BodyCtx::new(
                 table,
                 diags,
@@ -577,9 +627,10 @@ pub(crate) fn check_bodies_filter(
             }
             let block = ctx.check_block(&m.body);
             let num_locals = ctx.finish();
-            checked
-                .model_bodies
-                .insert((mid.0, ki as u32), hir::Body { num_locals, block });
+            checked.model_bodies.insert(
+                (mid.0, ki as u32),
+                Arc::new(hir::Body { num_locals, block }),
+            );
         }
     }
     // Globals.
@@ -592,6 +643,7 @@ pub(crate) fn check_bodies_filter(
         if g.is_native {
             continue;
         }
+        table.enter_file(g.span.file);
         let mut scope = Scope::new();
         for tv in &g.tparams {
             scope.tvs.insert(table.tv_name(*tv), *tv);
@@ -610,6 +662,6 @@ pub(crate) fn check_bodies_filter(
         let num_locals = ctx.finish();
         checked
             .global_bodies
-            .insert(gi as u32, hir::Body { num_locals, block });
+            .insert(gi as u32, Arc::new(hir::Body { num_locals, block }));
     }
 }

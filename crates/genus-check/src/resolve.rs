@@ -17,7 +17,7 @@
 //!
 //! Resolution is a pure function of the declaration table, the goal, and
 //! the scope-enabled witnesses, so results are memoized in the table's
-//! [`QueryCache`](genus_types::QueryCache): the key is a *canonicalized*
+//! [`QueryCache`]: the key is a *canonicalized*
 //! goal (inference variables renumbered in first-occurrence order, see
 //! [`canonical_inst`]) paired with a fingerprint of the enabled set.
 //! Negative results (`NotFound`, `Ambiguous`) are cached too — they are
@@ -38,12 +38,15 @@
 use crate::entail::{entails, prereq_closure};
 use crate::natural::conforms;
 use genus_types::subtype::model_eq;
-use genus_types::{caches_enabled, unify::unify, ConstraintInst, Model, Subst, Table, Type};
+use genus_types::{
+    caches_enabled, unify::unify, ConstraintId, ConstraintInst, Model, QueryCache, Subst, Table,
+    Type,
+};
 use std::any::Any;
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
 /// Maximum recursion depth for subgoal resolution — a belt-and-braces bound
@@ -213,6 +216,58 @@ fn canon_model(m: &Model, map: &mut CanonMap) -> Model {
     }
 }
 
+thread_local! {
+    /// Constraints whose goals reached rule 3 on this thread while a
+    /// [`record_declared_fallbacks`] scope is active.
+    static DECLARED_FALLBACKS: RefCell<Option<HashSet<ConstraintId>>> =
+        const { RefCell::new(None) };
+}
+
+fn note_declared_fallback(id: ConstraintId) {
+    DECLARED_FALLBACKS.with(|r| {
+        if let Some(set) = r.borrow_mut().as_mut() {
+            set.insert(id);
+        }
+    });
+}
+
+/// Runs `f` and returns, beside its result, every constraint whose goals
+/// reached declared-model fallback (rule 3) during the call, whatever the
+/// outcome. Rule 3 is the one place resolution consults every declared
+/// model in the program, so these are the goals a model declared in
+/// *another* unit could decide differently.
+pub fn record_declared_fallbacks<R>(f: impl FnOnce() -> R) -> (R, HashSet<ConstraintId>) {
+    let outer = DECLARED_FALLBACKS.with(|r| r.replace(Some(HashSet::new())));
+    let out = f();
+    let set = DECLARED_FALLBACKS.with(|r| r.replace(outer));
+    (out, set.unwrap_or_default())
+}
+
+/// Forks `table` for a program that extends it: declarations are shared,
+/// and the resolution memo keeps only positive results. A negative result
+/// (`NotFound`, `Ambiguous`) recorded for the base may be answered
+/// differently once the extension declares more models, so it must not be
+/// replayed there.
+pub fn fork_table(table: &Table) -> Table {
+    table.fork(positive_resolutions)
+}
+
+/// [`fork_table`] for the query cache alone.
+pub fn fork_cache(cache: &QueryCache) -> QueryCache {
+    cache.fork(positive_resolutions)
+}
+
+fn positive_resolutions(slot: &(dyn Any + Send)) -> Option<Box<dyn Any + Send>> {
+    let memo = slot.downcast_ref::<ResolveMemo>()?;
+    let map = memo
+        .map
+        .iter()
+        .filter(|(_, r)| r.is_ok())
+        .map(|(k, r)| (k.clone(), r.clone()))
+        .collect();
+    Some(Box::new(ResolveMemo { map }))
+}
+
 /// Resolves the default model for `inst`.
 ///
 /// # Errors
@@ -335,6 +390,7 @@ fn resolve_goal(
         _ => return Err(ResolveError::Ambiguous(candidates)),
     }
     // Rule 3: no enabled model — a unique in-scope declared model.
+    note_declared_fallback(inst.id);
     let mut in_scope: Vec<Model> = Vec::new();
     for (i, _) in ctx.table.models.iter().enumerate() {
         let mid = genus_types::ModelId(i as u32);
@@ -700,7 +756,7 @@ mod tests {
             methods: vec![],
             span: Span::dummy(),
         });
-        tb.uses.push(genus_types::UseDef {
+        tb.uses.push(std::sync::Arc::new(genus_types::UseDef {
             tparams: vec![e],
             wheres: vec![genus_types::WhereReq {
                 inst: ConstraintInst {
@@ -720,7 +776,7 @@ mod tests {
                 args: vec![box_e],
             },
             span: Span::dummy(),
-        });
+        }));
         let box_int = Type::Class {
             id: bx,
             args: vec![Type::Prim(PrimTy::Int)],
@@ -953,7 +1009,7 @@ mod tests {
             methods: vec![],
             span: Span::dummy(),
         });
-        tb.uses.push(genus_types::UseDef {
+        tb.uses.push(std::sync::Arc::new(genus_types::UseDef {
             tparams: vec![e],
             wheres: vec![genus_types::WhereReq {
                 inst: ConstraintInst {
@@ -973,7 +1029,7 @@ mod tests {
                 args: vec![box_e],
             },
             span: Span::dummy(),
-        });
+        }));
         let box_int = Type::Class {
             id: bx,
             args: vec![Type::Prim(PrimTy::Int)],

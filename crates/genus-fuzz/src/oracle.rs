@@ -20,6 +20,13 @@
 //!    decoded program must behave identically (exact fuel included).
 //! 5. **Warm-program parity** — the warm session's checked program,
 //!    compiled and run, must match the scratch program's run.
+//! 6. **Stdlib-base parity** — the path `genus serve` takes for a
+//!    stateless request: the source checked as an extension of the
+//!    process-wide stdlib base and its O2 bytecode linked against the
+//!    stdlib's prebuilt code. Unless the base's guard sends the source to
+//!    the whole-program check, its diagnostics must equal the scratch
+//!    compile's and its run must match the scratch O2 run, exact fuel
+//!    included.
 //!
 //! Cases where *any* engine trips the fuel meter are reported as
 //! [`Verdict::ResourceSkip`] rather than compared: fuel is counted in
@@ -30,7 +37,7 @@ use crate::pipeline::{self, Leg, UNIT_NAME};
 use genus_check::Session;
 use genus_common::{EdgeMap, Severity};
 use genus_interp::Limits;
-use genus_vm::{compile_optimized, compile_tier};
+use genus_vm::{compile_optimized, compile_tier, link_to_stdlib};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -38,7 +45,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct Divergence {
     /// Which oracle fired: `engine`, `gc-stress`, `roundtrip`,
-    /// `incremental`, or `planted` (test harness).
+    /// `incremental`, `stdlib-base`, or `planted` (test harness).
     pub oracle: &'static str,
     /// Human-readable description of the disagreement.
     pub detail: String,
@@ -157,6 +164,20 @@ impl Harness {
                 ),
             });
         }
+        // Oracle 6 (diagnostics half): the stateless serve path.
+        let based = genus_check::base::stdlib_base().extend(UNIT_NAME, src).ok();
+        if let Some(b) = &based {
+            if b.diags != scratch.diags {
+                return Verdict::Divergence(Divergence {
+                    oracle: "stdlib-base",
+                    detail: format!(
+                        "base-extension diagnostics differ from the whole program's ({} vs {})",
+                        b.diags.len(),
+                        scratch.diags.len()
+                    ),
+                });
+            }
+        }
         let Some(prog) = scratch.program else {
             let codes: Vec<&str> = scratch
                 .diags
@@ -231,6 +252,16 @@ impl Harness {
         let warm_run = pipeline::run_vm(warm_prog, &warm_code, limits, false, None);
         if let Some(d) = compare("incremental", "vm-o2", &vm2, "vm-o2-warm", &warm_run, true) {
             return Verdict::Divergence(d);
+        }
+
+        // Oracle 6 (program half): the linked base-path program runs
+        // exactly like the whole program.
+        if let Some(bp) = based.and_then(|b| b.program) {
+            let code = Arc::new(link_to_stdlib(&bp, 2));
+            let run = pipeline::run_vm(&bp, &code, limits, false, None);
+            if let Some(d) = compare("stdlib-base", "vm-o2", &vm2, "vm-o2-base", &run, true) {
+                return Verdict::Divergence(d);
+            }
         }
 
         Verdict::Pass

@@ -37,7 +37,7 @@
 use crate::persist::DiskCache;
 use genus_check::CheckedProgram;
 use genus_common::{FastMap, FnvHasher};
-use genus_vm::{compile_optimized, compile_tier, TierProgram, VmProgram};
+use genus_vm::{compile_optimized, compile_tier, link_to_stdlib, TierProgram, VmProgram};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -75,6 +75,9 @@ pub struct CachedProgram {
     /// Whether this entry was restored from the artifact directory
     /// (bodies blanked) rather than compiled in-process.
     from_disk: bool,
+    /// Whether `prog` extends the process-wide stdlib base, so its
+    /// bytecode links against the stdlib's prebuilt code.
+    on_base: bool,
     /// Runs of this entry so far — the hotness signal driving
     /// `engine: "auto"` tier promotion.
     invocations: AtomicU64,
@@ -100,10 +103,13 @@ impl std::fmt::Debug for CachedProgram {
 impl CachedProgram {
     /// The shared bytecode, compiling it on first use.
     pub fn vm_code(&self) -> Arc<VmProgram> {
-        Arc::clone(
-            self.vm_code
-                .get_or_init(|| Arc::new(compile_optimized(&self.prog, self.opt_level))),
-        )
+        Arc::clone(self.vm_code.get_or_init(|| {
+            Arc::new(if self.on_base {
+                link_to_stdlib(&self.prog, self.opt_level)
+            } else {
+                compile_optimized(&self.prog, self.opt_level)
+            })
+        }))
     }
 
     /// The shared Tier 2 closure program, compiling it (and the bytecode
@@ -145,7 +151,7 @@ impl CachedProgram {
             return Ok(&self.prog);
         }
         self.full
-            .get_or_init(|| compile(&self.source, self.stdlib))
+            .get_or_init(|| compile(&self.source, self.stdlib).0)
             .as_ref()
             .map_err(Clone::clone)
     }
@@ -224,6 +230,9 @@ pub struct ProgramCacheStats {
     pub misses: u64,
     /// Compilations actually executed in-process.
     pub compiles: u64,
+    /// Stdlib compilations that could not extend the stdlib base and
+    /// checked the whole program instead (a subset of `compiles`).
+    pub base_fallbacks: u64,
     /// Entries whose Tier 2 closure form has been compiled — at most one
     /// tier compile per entry, no matter how many submissions race.
     pub tier_compiles: u64,
@@ -250,6 +259,7 @@ pub struct ProgramCache {
     hits: AtomicU64,
     misses: AtomicU64,
     compiles: AtomicU64,
+    base_fallbacks: AtomicU64,
     evictions: AtomicU64,
     disk_hits: AtomicU64,
     disk_writes: AtomicU64,
@@ -280,6 +290,7 @@ impl ProgramCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             compiles: AtomicU64::new(0),
+            base_fallbacks: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             disk_writes: AtomicU64::new(0),
@@ -378,6 +389,7 @@ impl ProgramCache {
                     source: source.to_string(),
                     stdlib,
                     from_disk: true,
+                    on_base: false,
                     invocations: AtomicU64::new(0),
                     vm_code,
                     tier_code: OnceLock::new(),
@@ -386,13 +398,18 @@ impl ProgramCache {
             }
         }
         self.compiles.fetch_add(1, Ordering::Relaxed);
-        let cached = compile(source, stdlib).map(|prog| {
+        let (result, route) = compile(source, stdlib);
+        if route == Route::Fallback {
+            self.base_fallbacks.fetch_add(1, Ordering::Relaxed);
+        }
+        let cached = result.map(|prog| {
             Arc::new(CachedProgram {
                 prog,
                 opt_level,
                 source: source.to_string(),
                 stdlib,
                 from_disk: false,
+                on_base: route == Route::Base,
                 invocations: AtomicU64::new(0),
                 vm_code: OnceLock::new(),
                 tier_code: OnceLock::new(),
@@ -433,6 +450,7 @@ impl ProgramCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             compiles: self.compiles.load(Ordering::Relaxed),
+            base_fallbacks: self.base_fallbacks.load(Ordering::Relaxed),
             tier_compiles,
             evictions: self.evictions.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
@@ -452,22 +470,47 @@ impl ProgramCache {
     }
 }
 
+/// Unit name of a stateless request's source.
+const REQUEST_NAME: &str = "request.genus";
+
+/// How a compile checked its program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// Prelude-only program.
+    NoStdlib,
+    /// Extended the process-wide stdlib base.
+    Base,
+    /// Checked the whole program: the base guard found a channel through
+    /// which the request could change a stdlib verdict.
+    Fallback,
+}
+
 /// One checked compile, mirroring the facade's pipeline (prelude +
 /// optional stdlib + the request source) so serve results match
-/// `genus run` byte for byte.
-fn compile(source: &str, stdlib: bool) -> Result<CheckedProgram, String> {
-    let mut pairs: Vec<(&str, &str)> = Vec::new();
-    if stdlib {
-        for (name, src) in genus_stdlib::sources() {
-            pairs.push((name, src));
+/// `genus run` byte for byte. A stdlib request extends the process-wide
+/// stdlib base (built by the first such request) when the base's guard
+/// allows, which yields the same program and diagnostics as the
+/// whole-program check it otherwise falls back to.
+fn compile(source: &str, stdlib: bool) -> (Result<CheckedProgram, String>, Route) {
+    let (mut report, route) = if !stdlib {
+        (
+            genus_check::check_sources_report(&[(REQUEST_NAME, source)]),
+            Route::NoStdlib,
+        )
+    } else {
+        match genus_check::base::stdlib_base().extend(REQUEST_NAME, source) {
+            Ok(report) => (report, Route::Base),
+            Err(_) => (
+                genus_check::base::check_with_stdlib(REQUEST_NAME, source),
+                Route::Fallback,
+            ),
         }
-    }
-    pairs.push(("request.genus", source));
-    let mut report = genus_check::check_sources_report(&pairs);
+    };
     if report.has_errors() {
-        return Err(report.render_errors_short());
+        return (Err(report.render_errors_short()), route);
     }
-    Ok(report.program.take().expect("no errors implies a program"))
+    let prog = report.program.take().expect("no errors implies a program");
+    (Ok(prog), route)
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! {"requests":0,"ok":0,"trap":0,"error":0,
 //!  "engines":{"ast":0,"vm":0,"jit":0},
 //!  "fuel_total":0,"mem_total":0,
-//!  "cache":{"entries":0,"hits":0,"misses":0,"compiles":0,
+//!  "cache":{"entries":0,"hits":0,"misses":0,"compiles":0,"base_fallbacks":0,
 //!           "tier_compiles":0,"evictions":0,"disk_hits":0,"disk_writes":0},
 //!  "pool":{"workers":0,"steals":0},
 //!  "latency":{"count":0,"mean_us":0,"p50_us":0,"p90_us":0,"p99_us":0,"max_us":0}}
@@ -96,7 +96,7 @@ impl ServerMetrics {
              \"engines\":{{\"ast\":{},\"vm\":{},\"jit\":{}}},\
              \"fuel_total\":{},\"mem_total\":{},\
              \"cache\":{{\"entries\":{},\"hits\":{},\"misses\":{},\"compiles\":{},\
-             \"tier_compiles\":{},\"evictions\":{},\"disk_hits\":{},\"disk_writes\":{}}},\
+             \"base_fallbacks\":{},\"tier_compiles\":{},\"evictions\":{},\"disk_hits\":{},\"disk_writes\":{}}},\
              \"pool\":{{\"workers\":{},\"steals\":{}}},\
              \"latency\":{}}}",
             self.requests.load(Ordering::Relaxed),
@@ -112,6 +112,7 @@ impl ServerMetrics {
             cache.hits,
             cache.misses,
             cache.compiles,
+            cache.base_fallbacks,
             cache.tier_compiles,
             cache.evictions,
             cache.disk_hits,

@@ -29,10 +29,13 @@ pub struct ParsedUnit {
 }
 
 /// A bounded memo table of parses, keyed by `(file, content fingerprint)`.
+/// Parses produced outside the cache ([`ParseCache::insert`]) are pinned
+/// beside the FIFO and never evicted.
 #[derive(Debug, Default)]
 pub struct ParseCache {
     map: FastMap<(u32, Fp), Arc<ParsedUnit>>,
     order: Vec<(u32, Fp)>,
+    pinned: FastMap<(u32, Fp), Arc<ParsedUnit>>,
     hits: u64,
     misses: u64,
 }
@@ -52,7 +55,8 @@ impl ParseCache {
     pub fn get_or_parse(&mut self, sm: &SourceMap, file: FileId, name: &str) -> Arc<ParsedUnit> {
         let src = sm.file(file).src.as_str();
         let content_fp = fingerprint::content_fp(name, src);
-        if let Some(u) = self.map.get(&(file.0, content_fp)) {
+        let key = (file.0, content_fp);
+        if let Some(u) = self.pinned.get(&key).or_else(|| self.map.get(&key)) {
             self.hits += 1;
             return u.clone();
         }
@@ -75,15 +79,11 @@ impl ParseCache {
         unit
     }
 
-    /// Inserts an externally produced parse (e.g. the process-wide stdlib
-    /// parse) without consuming miss quota.
+    /// Pins an externally produced parse (e.g. the process-wide stdlib
+    /// parse) without consuming miss quota. Pinned parses live outside the
+    /// FIFO bound, so no number of edits to other units evicts them.
     pub fn insert(&mut self, file: FileId, unit: Arc<ParsedUnit>) {
-        if self.order.len() >= CAPACITY {
-            let oldest = self.order.remove(0);
-            self.map.remove(&oldest);
-        }
-        self.order.push((file.0, unit.content_fp));
-        self.map.insert((file.0, unit.content_fp), unit);
+        self.pinned.insert((file.0, unit.content_fp), unit);
     }
 
     /// `(hits, misses)` since creation.

@@ -165,6 +165,27 @@ impl QueryCache {
         *self.resolve_slot.lock().unwrap() = None;
     }
 
+    /// An independent copy of the entries, with fresh counters. Subtype,
+    /// prerequisite and conformance verdicts are copied whole — adding
+    /// declarations cannot change them for types that already exist. The
+    /// type-erased resolution memo is copied through `resolve`, which
+    /// receives the current memo and returns the entries the fork may
+    /// keep (the checker drops negative results there). Later writes to
+    /// either cache never reach the other.
+    pub fn fork(
+        &self,
+        resolve: impl FnOnce(&(dyn Any + Send)) -> Option<Box<dyn Any + Send>>,
+    ) -> QueryCache {
+        let slot = self.resolve_slot.lock().unwrap();
+        QueryCache {
+            subtype: Mutex::new(self.subtype.lock().unwrap().clone()),
+            prereq: Mutex::new(self.prereq.lock().unwrap().clone()),
+            conforms: Mutex::new(self.conforms.lock().unwrap().clone()),
+            resolve_slot: Mutex::new(slot.as_deref().and_then(resolve)),
+            ..QueryCache::default()
+        }
+    }
+
     /// Zeroes every hit/miss counter, leaving cached entries in place.
     /// Used by per-request stats reporting (`--stats`, serve responses):
     /// snapshot-before/`since` gives a delta, `reset_counters` gives a

@@ -26,6 +26,7 @@ use crate::{ClassId, ConstraintId, ModelId, PrimTy};
 use genus_common::bytes::{ByteReader, ByteWriter, ReadResult};
 use genus_common::{FileId, Span, Symbol};
 use genus_syntax::ast;
+use std::sync::Arc;
 
 fn write_span(w: &mut ByteWriter, s: Span) {
     w.u32(s.file.0);
@@ -660,15 +661,19 @@ pub fn write_table(w: &mut ByteWriter, table: &Table) {
     for g in &table.globals {
         write_method(w, g);
     }
-    w.seq(table.tv_count());
-    for i in 0..table.tv_count() {
-        let tv = TvId(i as u32);
+    w.u32(table.library_files());
+    let tvs: Vec<TvId> = table.tvs().collect();
+    w.seq(tvs.len());
+    for tv in tvs {
+        w.u32(tv.0);
         write_symbol(w, table.tv_name(tv));
         write_opt_type(w, table.tv_bound(tv));
     }
-    w.seq(table.mv_count());
-    for i in 0..table.mv_count() {
-        write_symbol(w, table.mv_name(MvId(i as u32)));
+    let mvs: Vec<MvId> = table.mvs().collect();
+    w.seq(mvs.len());
+    for mv in mvs {
+        w.u32(mv.0);
+        write_symbol(w, table.mv_name(mv));
     }
 }
 
@@ -712,18 +717,33 @@ pub fn read_table(r: &mut ByteReader) -> ReadResult<Table> {
     for m in models {
         table.add_model(m);
     }
-    table.uses = uses;
-    table.globals = globals;
+    table.uses = uses.into_iter().map(Arc::new).collect();
+    table.globals = globals.into_iter().map(Arc::new).collect();
+    let library_files = r.u32()?;
+    table.set_library_files(library_files);
+    // Variables are written space by space in allocation order, so
+    // re-allocating them in the recorded space reproduces every id; an id
+    // that does not come back out is a corrupt artifact.
+    let lib = FileId(0);
+    let user = FileId(library_files);
     let n = r.seq()?;
     for _ in 0..n {
+        let id = r.u32()?;
         let name = read_symbol(r)?;
         let bound = read_opt_type(r)?;
-        table.fresh_tv_bounded(name, bound);
+        table.enter_file(if id & (1 << 31) != 0 { lib } else { user });
+        if table.fresh_tv_bounded(name, bound) != TvId(id) {
+            return Err("type-variable ids out of order".to_string());
+        }
     }
     let n = r.seq()?;
     for _ in 0..n {
+        let id = r.u32()?;
         let name = read_symbol(r)?;
-        table.fresh_mv(name);
+        table.enter_file(if id & (1 << 31) != 0 { lib } else { user });
+        if table.fresh_mv(name) != MvId(id) {
+            return Err("model-variable ids out of order".to_string());
+        }
     }
     Ok(table)
 }

@@ -4,6 +4,7 @@ use crate::ty::{ConstraintInst, Model, MvId, TvId, Type, WhereReq};
 use genus_common::{Span, Symbol};
 use genus_syntax::ast;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Identifies a class or interface in a [`Table`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -189,19 +190,35 @@ pub struct UseDef {
     pub span: Span,
 }
 
+/// Type and model variables allocated in one scope of a [`Table`].
+#[derive(Debug, Clone, Default)]
+struct VarPool {
+    tv_names: Vec<Symbol>,
+    tv_bounds: Vec<Option<Type>>,
+    mv_names: Vec<Symbol>,
+}
+
+/// The bit of a [`TvId`]/[`MvId`] that marks a variable allocated on
+/// behalf of a library file (see [`Table::set_library_files`]).
+const LIBRARY_BIT: u32 = 1 << 31;
+
 /// The collected program.
+///
+/// Declarations are held behind `Arc`s, so [`Table::fork`] is a cheap
+/// structural copy: a program that extends a prebuilt library table
+/// shares every library declaration instead of cloning it.
 #[derive(Debug, Default)]
 pub struct Table {
     /// All classes and interfaces.
-    pub classes: Vec<ClassDef>,
+    pub classes: Vec<Arc<ClassDef>>,
     /// All constraints.
-    pub constraints: Vec<ConstraintDef>,
+    pub constraints: Vec<Arc<ConstraintDef>>,
     /// All declared models.
-    pub models: Vec<ModelDef>,
+    pub models: Vec<Arc<ModelDef>>,
     /// All `use` declarations.
-    pub uses: Vec<UseDef>,
+    pub uses: Vec<Arc<UseDef>>,
     /// Free-standing top-level methods.
-    pub globals: Vec<MethodDef>,
+    pub globals: Vec<Arc<MethodDef>>,
 
     /// Name lookup for classes/interfaces.
     pub class_by_name: HashMap<Symbol, ClassId>,
@@ -210,9 +227,12 @@ pub struct Table {
     /// Name lookup for models.
     pub model_by_name: HashMap<Symbol, ModelId>,
 
-    tv_names: Vec<Symbol>,
-    tv_bounds: Vec<Option<Type>>,
-    mv_names: Vec<Symbol>,
+    /// Variables of user files (`[0]`) and library files (`[1]`).
+    vars: [Arc<VarPool>; 2],
+    /// Files `0..library_files` are library files.
+    library_files: u32,
+    /// Whether fresh variables currently go to the library pool.
+    alloc_library: bool,
 
     /// Memo tables for table-pure queries (subtyping, prerequisite
     /// closures, conformance, resolution). Mutating methods that could
@@ -226,11 +246,73 @@ impl Table {
         Table::default()
     }
 
+    /// Declares files `0..n` to be library files: variables allocated
+    /// while [`Table::enter_file`] points at one of them are numbered in
+    /// a separate library space (ids with the top bit set). Numbering the
+    /// two spaces independently makes every id independent of how the
+    /// checker's phases interleave library and user declarations, so a
+    /// program checked as a whole and the same program checked as an
+    /// extension of a prebuilt library table get identical ids. With the
+    /// default `n = 0` there is one dense space, as for any program
+    /// without a library.
+    pub fn set_library_files(&mut self, n: u32) {
+        self.library_files = n;
+    }
+
+    /// The number of leading library files (see
+    /// [`Table::set_library_files`]).
+    pub fn library_files(&self) -> u32 {
+        self.library_files
+    }
+
+    /// Directs fresh variables to the space of `file` (library or user).
+    /// Every phase that allocates variables calls this before working on
+    /// a declaration or body of that file.
+    pub fn enter_file(&mut self, file: genus_common::FileId) {
+        self.alloc_library = file.0 < self.library_files;
+    }
+
+    /// A cheap copy sharing every declaration with `self` (copy-on-write
+    /// through `Arc::make_mut`), with the query cache forked through
+    /// `resolve` (see [`crate::cache::QueryCache::fork`]).
+    pub fn fork(
+        &self,
+        resolve: impl FnOnce(&(dyn std::any::Any + Send)) -> Option<Box<dyn std::any::Any + Send>>,
+    ) -> Table {
+        Table {
+            classes: self.classes.clone(),
+            constraints: self.constraints.clone(),
+            models: self.models.clone(),
+            uses: self.uses.clone(),
+            globals: self.globals.clone(),
+            class_by_name: self.class_by_name.clone(),
+            constraint_by_name: self.constraint_by_name.clone(),
+            model_by_name: self.model_by_name.clone(),
+            vars: self.vars.clone(),
+            library_files: self.library_files,
+            // A fork is extended with new (user) files.
+            alloc_library: false,
+            cache: self.cache.fork(resolve),
+        }
+    }
+
+    fn pool_mut(&mut self) -> (&mut VarPool, u32) {
+        let i = usize::from(self.alloc_library);
+        let tag = if self.alloc_library { LIBRARY_BIT } else { 0 };
+        (Arc::make_mut(&mut self.vars[i]), tag)
+    }
+
+    fn tv_slot(&self, tv: TvId) -> (&VarPool, usize) {
+        let i = usize::from(tv.0 & LIBRARY_BIT != 0);
+        (&self.vars[i], (tv.0 & !LIBRARY_BIT) as usize)
+    }
+
     /// Allocates a fresh type variable with a display name.
     pub fn fresh_tv(&mut self, name: Symbol) -> TvId {
-        let id = TvId(self.tv_names.len() as u32);
-        self.tv_names.push(name);
-        self.tv_bounds.push(None);
+        let (pool, tag) = self.pool_mut();
+        let id = TvId(tag | pool.tv_names.len() as u32);
+        pool.tv_names.push(name);
+        pool.tv_bounds.push(None);
         id
     }
 
@@ -238,45 +320,66 @@ impl Table {
     /// desugared `? extends T` wildcards).
     pub fn fresh_tv_bounded(&mut self, name: Symbol, bound: Option<Type>) -> TvId {
         let id = self.fresh_tv(name);
-        self.tv_bounds[id.0 as usize] = bound;
+        self.set_tv_bound(id, bound);
         id
     }
 
     /// Allocates a fresh model variable with a display name.
     pub fn fresh_mv(&mut self, name: Symbol) -> MvId {
-        let id = MvId(self.mv_names.len() as u32);
-        self.mv_names.push(name);
+        let (pool, tag) = self.pool_mut();
+        let id = MvId(tag | pool.mv_names.len() as u32);
+        pool.mv_names.push(name);
         id
     }
 
     /// Display name of a type variable.
     pub fn tv_name(&self, tv: TvId) -> Symbol {
-        self.tv_names[tv.0 as usize]
+        let (pool, i) = self.tv_slot(tv);
+        pool.tv_names[i]
     }
 
     /// Upper bound of a type variable, if any.
     pub fn tv_bound(&self, tv: TvId) -> Option<&Type> {
-        self.tv_bounds[tv.0 as usize].as_ref()
+        let (pool, i) = self.tv_slot(tv);
+        pool.tv_bounds[i].as_ref()
     }
 
     /// Sets the upper bound of a type variable.
     pub fn set_tv_bound(&mut self, tv: TvId, bound: Option<Type>) {
-        self.tv_bounds[tv.0 as usize] = bound;
+        let p = usize::from(tv.0 & LIBRARY_BIT != 0);
+        Arc::make_mut(&mut self.vars[p]).tv_bounds[(tv.0 & !LIBRARY_BIT) as usize] = bound;
     }
 
     /// Display name of a model variable.
     pub fn mv_name(&self, mv: MvId) -> Symbol {
-        self.mv_names[mv.0 as usize]
+        let i = usize::from(mv.0 & LIBRARY_BIT != 0);
+        self.vars[i].mv_names[(mv.0 & !LIBRARY_BIT) as usize]
+    }
+
+    /// Every allocated type variable, user space first.
+    pub fn tvs(&self) -> impl Iterator<Item = TvId> + '_ {
+        self.vars
+            .iter()
+            .zip([0, LIBRARY_BIT])
+            .flat_map(|(pool, tag)| (0..pool.tv_names.len() as u32).map(move |i| TvId(tag | i)))
+    }
+
+    /// Every allocated model variable, user space first.
+    pub fn mvs(&self) -> impl Iterator<Item = MvId> + '_ {
+        self.vars
+            .iter()
+            .zip([0, LIBRARY_BIT])
+            .flat_map(|(pool, tag)| (0..pool.mv_names.len() as u32).map(move |i| MvId(tag | i)))
     }
 
     /// Number of allocated type variables.
     pub fn tv_count(&self) -> usize {
-        self.tv_names.len()
+        self.vars.iter().map(|p| p.tv_names.len()).sum()
     }
 
     /// Number of allocated model variables.
     pub fn mv_count(&self) -> usize {
-        self.mv_names.len()
+        self.vars.iter().map(|p| p.mv_names.len()).sum()
     }
 
     /// Looks up a class by id.
@@ -299,7 +402,7 @@ impl Table {
         self.cache.clear();
         let id = ClassId(self.classes.len() as u32);
         self.class_by_name.insert(def.name, id);
-        self.classes.push(def);
+        self.classes.push(Arc::new(def));
         id
     }
 
@@ -308,7 +411,7 @@ impl Table {
         self.cache.clear();
         let id = ConstraintId(self.constraints.len() as u32);
         self.constraint_by_name.insert(def.name, id);
-        self.constraints.push(def);
+        self.constraints.push(Arc::new(def));
         id
     }
 
@@ -317,7 +420,7 @@ impl Table {
         self.cache.clear();
         let id = ModelId(self.models.len() as u32);
         self.model_by_name.insert(def.name, id);
-        self.models.push(def);
+        self.models.push(Arc::new(def));
         id
     }
 

@@ -7,6 +7,7 @@
 
 use crate::table::Table;
 use crate::ty::{Model, TvId, Type};
+use std::sync::Arc;
 
 /// Variance of one constraint parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -151,7 +152,10 @@ fn occurs_in_model(param: TvId, m: &Model) -> bool {
 pub fn store_variances(table: &mut Table) {
     let vs = compute_variances(table);
     for (i, v) in vs.into_iter().enumerate() {
-        table.constraints[i].variance = v;
+        // Unchanged entries stay shared with any table this one forked.
+        if table.constraints[i].variance != v {
+            Arc::make_mut(&mut table.constraints[i]).variance = v;
+        }
     }
 }
 

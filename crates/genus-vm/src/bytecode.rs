@@ -382,7 +382,7 @@ pub struct VmFunc {
 
 /// A fully lowered program: every executable body compiled once, plus the
 /// shared constant pool and spec tables.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct VmProgram {
     /// All compiled functions.
     pub funcs: Vec<VmFunc>,

@@ -26,7 +26,7 @@ use genus_types::{ClassId, Type};
 use std::collections::HashMap;
 
 /// Hashable key for constant-pool deduplication (doubles by bit pattern).
-#[derive(PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum ConstKey {
     Int(i32),
     Long(i64),
@@ -815,14 +815,80 @@ fn init_body(expr: &hir::Expr, num_locals: usize) -> (usize, hir::Block) {
     )
 }
 
+/// The constant pool's deduplication index, carried from one lowered
+/// segment to the next (see [`crate::link::Codegen`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ConstIndex(HashMap<ConstKey, u32>);
+
+impl Builder {
+    /// Resumes lowering into `code`, whose tables already hold the
+    /// segments lowered before.
+    fn resume(code: &mut VmProgram, index: &mut ConstIndex) -> Builder {
+        Builder {
+            consts: std::mem::take(&mut code.consts),
+            const_map: std::mem::take(&mut index.0),
+            types: std::mem::take(&mut code.types),
+            virt_specs: std::mem::take(&mut code.virt_specs),
+            static_specs: std::mem::take(&mut code.static_specs),
+            global_specs: std::mem::take(&mut code.global_specs),
+            model_specs: std::mem::take(&mut code.model_specs),
+            new_specs: std::mem::take(&mut code.new_specs),
+            prim_specs: std::mem::take(&mut code.prim_specs),
+            native_specs: std::mem::take(&mut code.native_specs),
+            pack_specs: std::mem::take(&mut code.pack_specs),
+            open_specs: std::mem::take(&mut code.open_specs),
+            num_sites: code.num_sites,
+            num_model_sites: code.num_model_sites,
+        }
+    }
+
+    /// Hands the tables back to `code`.
+    fn suspend(self, code: &mut VmProgram, index: &mut ConstIndex) {
+        code.consts = self.consts;
+        index.0 = self.const_map;
+        code.types = self.types;
+        code.virt_specs = self.virt_specs;
+        code.static_specs = self.static_specs;
+        code.global_specs = self.global_specs;
+        code.model_specs = self.model_specs;
+        code.new_specs = self.new_specs;
+        code.prim_specs = self.prim_specs;
+        code.native_specs = self.native_specs;
+        code.pack_specs = self.pack_specs;
+        code.open_specs = self.open_specs;
+        code.num_sites = self.num_sites;
+        code.num_model_sites = self.num_model_sites;
+    }
+}
+
 /// Compiles every executable body of a checked program to bytecode.
 ///
-/// Function and call-site numbering is deterministic (table-key order),
-/// so two compilations of the same program produce identical bytecode.
+/// Function and call-site numbering is deterministic, so two compilations
+/// of the same program produce identical bytecode. Bodies are laid out
+/// segment by segment (the program's library files first, see
+/// [`genus_types::Table::set_library_files`]), and by kind and table key
+/// within a segment.
 #[must_use]
 pub fn compile_program(prog: &CheckedProgram) -> VmProgram {
-    let mut b = Builder::default();
-    let mut out = VmProgram::default();
+    crate::link::compile_segmented(prog, 0)
+}
+
+/// Appends the bodies owned by files in `files` to `code`: methods,
+/// constructors, globals, model methods, field initializers, then static
+/// initializers, each in table-key order. A body belongs to the file that
+/// declares it (a class member to its class's file, a model method —
+/// enrichments included — to its own).
+pub(crate) fn lower_segment(
+    code: &mut VmProgram,
+    index: &mut ConstIndex,
+    prog: &CheckedProgram,
+    files: &std::ops::Range<u32>,
+) {
+    let mut b = Builder::resume(code, index);
+    let out = &mut *code;
+    let table = &prog.table;
+    let owned = |span: genus_common::Span| files.contains(&span.file.0);
+    let class_owned = |cid: u32| owned(table.class(ClassId(cid)).span);
 
     let push = |funcs: &mut Vec<VmFunc>, f: VmFunc| -> FuncId {
         let id = FuncId(funcs.len() as u32);
@@ -830,11 +896,16 @@ pub fn compile_program(prog: &CheckedProgram) -> VmProgram {
         id
     };
 
-    let mut keys: Vec<_> = prog.method_bodies.keys().copied().collect();
+    let mut keys: Vec<_> = prog
+        .method_bodies
+        .keys()
+        .copied()
+        .filter(|&(cid, _)| class_owned(cid))
+        .collect();
     keys.sort_unstable();
     for (cid, mi) in keys {
         let body = &prog.method_bodies[&(cid, mi)];
-        let def = prog.table.class(ClassId(cid));
+        let def = table.class(ClassId(cid));
         let m = &def.methods[mi as usize];
         let f = compile_fn(
             &mut b,
@@ -847,11 +918,16 @@ pub fn compile_program(prog: &CheckedProgram) -> VmProgram {
         out.methods.insert((cid, mi), id);
     }
 
-    let mut keys: Vec<_> = prog.ctor_bodies.keys().copied().collect();
+    let mut keys: Vec<_> = prog
+        .ctor_bodies
+        .keys()
+        .copied()
+        .filter(|&(cid, _)| class_owned(cid))
+        .collect();
     keys.sort_unstable();
     for (cid, ci) in keys {
         let body = &prog.ctor_bodies[&(cid, ci)];
-        let def = prog.table.class(ClassId(cid));
+        let def = table.class(ClassId(cid));
         let f = compile_fn(
             &mut b,
             format!("{}::<ctor {ci}>", def.name),
@@ -863,11 +939,16 @@ pub fn compile_program(prog: &CheckedProgram) -> VmProgram {
         out.ctors.insert((cid, ci), id);
     }
 
-    let mut keys: Vec<_> = prog.global_bodies.keys().copied().collect();
+    let mut keys: Vec<_> = prog
+        .global_bodies
+        .keys()
+        .copied()
+        .filter(|&gi| owned(table.globals[gi as usize].span))
+        .collect();
     keys.sort_unstable();
     for gi in keys {
         let body = &prog.global_bodies[&gi];
-        let g = &prog.table.globals[gi as usize];
+        let g = &table.globals[gi as usize];
         let f = compile_fn(
             &mut b,
             format!("global {}", g.name),
@@ -879,11 +960,18 @@ pub fn compile_program(prog: &CheckedProgram) -> VmProgram {
         out.globals.insert(gi, id);
     }
 
-    let mut keys: Vec<_> = prog.model_bodies.keys().copied().collect();
+    let mut keys: Vec<_> = prog
+        .model_bodies
+        .keys()
+        .copied()
+        .filter(|&(mid, mi)| {
+            owned(table.model(genus_types::ModelId(mid)).methods[mi as usize].span)
+        })
+        .collect();
     keys.sort_unstable();
     for (mid, mi) in keys {
         let body = &prog.model_bodies[&(mid, mi)];
-        let def = prog.table.model(genus_types::ModelId(mid));
+        let def = table.model(genus_types::ModelId(mid));
         let m = &def.methods[mi as usize];
         let f = compile_fn(
             &mut b,
@@ -896,11 +984,16 @@ pub fn compile_program(prog: &CheckedProgram) -> VmProgram {
         out.model_methods.insert((mid, mi), id);
     }
 
-    let mut keys: Vec<_> = prog.field_inits.keys().copied().collect();
+    let mut keys: Vec<_> = prog
+        .field_inits
+        .keys()
+        .copied()
+        .filter(|&(cid, _)| class_owned(cid))
+        .collect();
     keys.sort_unstable();
     for (cid, fi) in keys {
         let init = &prog.field_inits[&(cid, fi)];
-        let def = prog.table.class(ClassId(cid));
+        let def = table.class(ClassId(cid));
         let (num_locals, block) = init_body(init, 1);
         let f = compile_fn(
             &mut b,
@@ -914,7 +1007,10 @@ pub fn compile_program(prog: &CheckedProgram) -> VmProgram {
     }
 
     for (cid, fi, init) in &prog.static_inits {
-        let def = prog.table.class(*cid);
+        if !class_owned(cid.0) {
+            continue;
+        }
+        let def = table.class(*cid);
         let (num_locals, block) = init_body(init, 0);
         let f = compile_fn(
             &mut b,
@@ -927,18 +1023,5 @@ pub fn compile_program(prog: &CheckedProgram) -> VmProgram {
         out.static_inits.push((*cid, *fi, id));
     }
 
-    out.consts = b.consts;
-    out.types = b.types;
-    out.virt_specs = b.virt_specs;
-    out.static_specs = b.static_specs;
-    out.global_specs = b.global_specs;
-    out.model_specs = b.model_specs;
-    out.new_specs = b.new_specs;
-    out.prim_specs = b.prim_specs;
-    out.native_specs = b.native_specs;
-    out.pack_specs = b.pack_specs;
-    out.open_specs = b.open_specs;
-    out.num_sites = b.num_sites;
-    out.num_model_sites = b.num_model_sites;
-    out
+    b.suspend(out, index);
 }

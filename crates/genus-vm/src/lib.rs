@@ -34,6 +34,7 @@
 
 pub mod bytecode;
 pub mod compile;
+pub mod link;
 pub mod opt;
 pub mod serialize;
 pub mod tier;
@@ -41,6 +42,7 @@ pub mod vm;
 
 pub use bytecode::{FuncId, Op, VmFunc, VmProgram};
 pub use compile::compile_program;
+pub use link::{link_to_stdlib, Codegen};
 pub use opt::{compile_optimized, optimize, OptStats};
 pub use serialize::{read_program, write_program};
 pub use tier::{compile_tier, TierProgram, TierStats};

@@ -21,10 +21,15 @@ use std::collections::{HashMap, HashSet};
 
 /// Runs the cleanup passes over every function until fixpoint.
 pub fn cleanup(code: &mut VmProgram) {
+    cleanup_from(code, 0);
+}
+
+/// [`cleanup`] of the functions from `first` on.
+pub(crate) fn cleanup_from(code: &mut VmProgram, first: usize) {
     let mut consts = std::mem::take(&mut code.consts);
     let mut stats = std::mem::take(&mut code.opt_stats);
     let mut pool = Pool::build(&consts);
-    for f in &mut code.funcs {
+    for f in &mut code.funcs[first..] {
         clean_fn(f, &mut consts, &mut pool, &mut stats);
     }
     code.consts = consts;

@@ -29,12 +29,11 @@
 //! output bytes, error codes *and* messages — which the differential
 //! suites check at every opt level.
 
-mod cleanup;
-mod specialize;
+pub(crate) mod cleanup;
+pub(crate) mod specialize;
 pub(crate) mod subst;
 
 use crate::bytecode::VmProgram;
-use crate::compile::compile_program;
 use genus_check::CheckedProgram;
 use genus_interp::rtti::{self, MEnv, TEnv};
 
@@ -68,16 +67,18 @@ pub struct OptStats {
 }
 
 /// Compiles `prog` and runs the optimization pipeline at `level`
-/// (clamped to `0..=2`).
+/// (clamped to `0..=2`), segment by segment: the program's library files
+/// are lowered and optimized to completion before the rest (see
+/// [`crate::link`]), so a program extending a prebuilt library gets the
+/// same bytecode from [`crate::link::link_to_stdlib`].
 #[must_use]
 pub fn compile_optimized(prog: &CheckedProgram, level: u8) -> VmProgram {
-    let mut code = compile_program(prog);
-    optimize(&mut code, prog, level);
-    code
+    crate::link::compile_segmented(prog, level)
 }
 
-/// Runs the pipeline in place: specialization (level ≥ 2), then cleanup
-/// and type reification (level ≥ 1). Level 0 leaves the program untouched.
+/// Runs the pipeline in place over an already lowered program, as one
+/// segment: specialization (level ≥ 2), then cleanup and type reification
+/// (level ≥ 1). Level 0 leaves the program untouched.
 pub fn optimize(code: &mut VmProgram, prog: &CheckedProgram, level: u8) {
     let level = level.min(2);
     code.opt_stats.level = level;
@@ -96,15 +97,21 @@ pub fn optimize(code: &mut VmProgram, prog: &CheckedProgram, level: u8) {
 /// targets take the plain reified path in `instanceof`/`cast`, so the VM
 /// can substitute the cached reification wherever one exists.
 pub(crate) fn reify_types(code: &mut VmProgram, prog: &CheckedProgram) {
+    code.rt_types.clear();
+    reify_types_from(code, prog, 0);
+}
+
+/// [`reify_types`] of the `types` entries from `first` on, appended to
+/// `rt_types` (which covers exactly the entries before `first`).
+pub(crate) fn reify_types_from(code: &mut VmProgram, prog: &CheckedProgram, first: usize) {
     let (tenv, menv) = (TEnv::new(), MEnv::new());
-    let mut out = Vec::with_capacity(code.types.len());
-    for t in &code.types {
+    for t in &code.types[first..] {
         if subst::ty_closed(t) && !subst::contains_existential(t) {
             code.opt_stats.types_reified += 1;
-            out.push(Some(rtti::eval_type(prog, &tenv, &menv, t)));
+            code.rt_types
+                .push(Some(rtti::eval_type(prog, &tenv, &menv, t)));
         } else {
-            out.push(None);
+            code.rt_types.push(None);
         }
     }
-    code.rt_types = out;
 }

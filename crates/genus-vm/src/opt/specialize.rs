@@ -53,39 +53,56 @@ enum Target {
 }
 
 /// Canonical binding tuple: the memo key for one specialization.
-#[derive(PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct SpecKey {
     target: Target,
     tys: Vec<(TvId, Type)>,
     models: Vec<(MvId, Model)>,
 }
 
+/// Specialization decisions carried from one segment to the next: the
+/// memo of clones made (or declined) and the clone budget spent.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SpecState {
+    done: HashMap<SpecKey, Option<FuncId>>,
+    clones_per: HashMap<Target, usize>,
+    total_clones: usize,
+}
+
 /// Runs specialization over `code` in place.
 pub fn specialize(code: &mut VmProgram, prog: &CheckedProgram) {
+    specialize_from(code, prog, &mut SpecState::default(), 0);
+}
+
+/// Runs specialization over the functions from `first` on (and the clones
+/// they cascade into), continuing the decisions and budget in `state`.
+pub(crate) fn specialize_from(
+    code: &mut VmProgram,
+    prog: &CheckedProgram,
+    state: &mut SpecState,
+    first: usize,
+) {
     let mut sp = Specializer {
         code,
         prog,
-        done: HashMap::new(),
-        clones_per: HashMap::new(),
-        total_clones: 0,
+        state: std::mem::take(state),
         queue: Vec::new(),
     };
     let n = sp.code.funcs.len() as u32;
-    sp.queue.extend((0..n).map(FuncId));
+    sp.queue.extend((first as u32..n).map(FuncId));
     let mut i = 0;
     while i < sp.queue.len() {
         let fid = sp.queue[i];
         i += 1;
         sp.rewrite_fn(fid);
     }
+    *state = sp.state;
 }
 
 struct Specializer<'a> {
     code: &'a mut VmProgram,
     prog: &'a CheckedProgram,
-    done: HashMap<SpecKey, Option<FuncId>>,
-    clones_per: HashMap<Target, usize>,
-    total_clones: usize,
+    state: SpecState,
     queue: Vec<FuncId>,
 }
 
@@ -419,17 +436,17 @@ impl Specializer<'_> {
             tys,
             models,
         };
-        if let Some(r) = self.done.get(&key) {
+        if let Some(r) = self.state.done.get(&key) {
             return *r;
         }
-        let per = self.clones_per.entry(target).or_insert(0);
-        if *per >= MAX_CLONES_PER_FUNC || self.total_clones >= MAX_CLONES_TOTAL {
+        let per = self.state.clones_per.entry(target).or_insert(0);
+        if *per >= MAX_CLONES_PER_FUNC || self.state.total_clones >= MAX_CLONES_TOTAL {
             self.code.opt_stats.budget_fallbacks += 1;
-            self.done.insert(key, None);
+            self.state.done.insert(key, None);
             return None;
         }
         *per += 1;
-        self.total_clones += 1;
+        self.state.total_clones += 1;
         let mut subst = Subst::new();
         for (v, t) in &key.tys {
             subst.tys.insert(*v, t.clone());
@@ -442,7 +459,7 @@ impl Specializer<'_> {
         // Register before the clone's own body is rewritten (it happens
         // later, off the queue) so recursive requests memo-hit instead of
         // cloning forever.
-        self.done.insert(key, Some(fid));
+        self.state.done.insert(key, Some(fid));
         self.queue.push(fid);
         Some(fid)
     }

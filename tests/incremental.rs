@@ -136,3 +136,17 @@ fn import_errors_have_stable_codes_at_the_facade() {
         r.diags
     );
 }
+
+#[test]
+fn seeded_stdlib_parses_survive_hundreds_of_edits() {
+    // The stdlib's parses are seeded from the process-wide memo and
+    // pinned outside the parse cache's FIFO bound: more distinct edits
+    // than that bound must parse the edited unit only, never the stdlib
+    // again.
+    let mut s = CompileSession::with_stdlib();
+    for i in 0..300 {
+        s.update_source("main.genus", &format!("int main() {{ return {i}; }}"));
+        assert!(!s.check().has_errors());
+    }
+    assert_eq!(s.stats().parse_new, 300);
+}
