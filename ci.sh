@@ -165,7 +165,7 @@ grep -q '"id":"r1","outcome":"ok","value":"42".*"reused":[1-9][0-9]*,"rechecked"
 # or carry exactly the error diagnostics `genus run` prints (short
 # format, same file name), or trap with the same code. A second
 # connection, opened after the first has drained, reads the metrics:
-# the `use` program must be counted in `base_fallbacks`.
+# the `use` and `capture` programs must be counted in `base_fallbacks`.
 rm -rf target/base_gate
 python3 - <<'PY'
 import json, os, re, socket, subprocess
@@ -182,6 +182,9 @@ progs.append(("use", "model RevIntCmp for Comparable[int] {\n"
               "  int compareTo(int that) { return that - this; }\n}\n"
               "use RevIntCmp;\nint main() { TreeSet[int] s = new TreeSet[int]();"
               " s.add(1); s.add(2); return s.first(); }\n"))
+# A class named like a stdlib field used as a bare receiver
+# (`list.size()`), which turns stdlib bodies into errors.
+progs.append(("capture", "class list { }\nint main() { return 0; }\n"))
 
 def errors_only(short):
     blocks = []
@@ -248,7 +251,7 @@ for resp in responses:
         got = (resp["outcome"], resp.get("code"), resp["output"])
     assert got == want, "%s: serve %r != run %r" % (resp["id"], got, want)
 cache = metrics["cache"]
-assert cache["base_fallbacks"] >= 1, cache
+assert cache["base_fallbacks"] >= 2, cache
 assert cache["compiles"] == len(set(src for _, src in progs)), cache
 print("stdlib-base gate: %d programs, %d compiles, %d base fallbacks"
       % (len(progs), cache["compiles"], cache["base_fallbacks"]))

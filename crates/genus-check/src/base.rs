@@ -33,9 +33,10 @@ use crate::{
     check_bodies_filter, check_declarations, complete_signatures, prelude, CheckReport,
     CheckedProgram, DeclCounts,
 };
-use genus_common::{Diagnostics, Severity, SourceMap, Symbol};
+use genus_common::{Diagnostics, FileId, Severity, SourceMap, Symbol};
 use genus_syntax::ast;
 use genus_syntax::memo::{parse_unit, ParsedUnit};
+use genus_syntax::{lex, TokenKind};
 use genus_types::{ClassId, ConstraintId, ModelId, Table, Type};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
@@ -60,11 +61,16 @@ pub fn stdlib_parses() -> &'static [(&'static str, Arc<ParsedUnit>)] {
     })
 }
 
+/// The stdlib units after the prelude: names, texts and memoized parses.
+fn stdlib_units() -> impl Iterator<Item = (&'static str, &'static str, &'static Arc<ParsedUnit>)> {
+    let units = genus_stdlib::sources().iter().zip(stdlib_parses());
+    units.map(|((name, src), (_, parsed))| (*name, *src, parsed))
+}
+
 /// A fresh session with the stdlib registered as always-visible library
 /// units, their parses seeded from [`stdlib_parses`].
 pub fn stdlib_session() -> Session {
-    let units = genus_stdlib::sources().iter().zip(stdlib_parses());
-    library_session(units.map(|((name, src), (_, parsed))| (*name, *src, parsed)))
+    library_session(stdlib_units())
 }
 
 /// A fresh session with `units` registered as always-visible library
@@ -84,7 +90,17 @@ fn library_session<'a>(
 /// [`stdlib_session`] with the unit added. This is what `genus run`
 /// checks, and what [`StdlibBase::extend`] reproduces.
 pub fn check_with_stdlib(name: &str, src: &str) -> CheckReport {
-    let mut s = stdlib_session();
+    check_whole_over(stdlib_units(), name, src)
+}
+
+/// The whole-program check of the unit `name` against the library
+/// `units`: a cold [`library_session`] with the unit added.
+fn check_whole_over<'a>(
+    units: impl Iterator<Item = (&'a str, &'a str, &'a Arc<ParsedUnit>)>,
+    name: &str,
+    src: &str,
+) -> CheckReport {
+    let mut s = library_session(units);
     s.update_source(name, src);
     s.into_report()
 }
@@ -104,9 +120,11 @@ pub enum Fallback {
     Use,
     /// An `enrich` of a library model adds methods to it.
     Enrich(Symbol),
-    /// The unit declares a name the library declares, in any namespace
-    /// (type, constraint, model or global), which changes what library
-    /// code's names resolve to.
+    /// The unit declares a name that library code could resolve to it:
+    /// any name the library declares, in any namespace, and a type,
+    /// constraint or model named like any identifier of the library's
+    /// text (a bare receiver `list.size()` is looked up as a class before
+    /// the field `list` of `this`).
     Name(Symbol),
     /// A library model is named inside a class `where` clause or a
     /// constraint declaration: the whole-program check resolves those
@@ -128,14 +146,16 @@ pub struct StdlibBase {
     library: Vec<(String, String, Arc<ParsedUnit>)>,
     /// Source map holding the library files.
     sm: SourceMap,
-    /// The checked library; `None` if it had errors.
+    /// The checked library; `None` if checking it reported any
+    /// diagnostic.
     program: Option<CheckedProgram>,
-    /// Whether checking the library reported any diagnostic.
-    has_diags: bool,
     /// Declarations of each kind in the library.
     counts: DeclCounts,
     /// Every name the library declares, in any namespace.
     names: HashSet<Symbol>,
+    /// Every identifier token of the library's text, prelude included (a
+    /// superset of `names`).
+    idents: HashSet<Symbol>,
     /// The library's model names.
     model_names: HashSet<Symbol>,
     /// Constraints whose goals reached declared-model fallback while the
@@ -186,7 +206,6 @@ impl StdlibBase {
         let units = || library.iter().map(|(n, s, p)| (n.as_str(), s.as_str(), p));
         let (report, declared_fallbacks) =
             record_declared_fallbacks(|| library_session(units()).into_report());
-        let has_diags = !report.diags.is_empty();
         let (counts, names, model_names, dispatch_classes) = match &report.program {
             Some(p) => {
                 let t = &p.table;
@@ -203,12 +222,13 @@ impl StdlibBase {
             }
             None => Default::default(),
         };
+        let idents = library_idents(&report.sm);
         StdlibBase {
+            program: report.program.filter(|_| report.diags.is_empty()),
             sm: report.sm,
-            program: report.program,
-            has_diags,
             counts,
             names,
+            idents,
             model_names,
             declared_fallbacks,
             dispatch_classes,
@@ -216,30 +236,23 @@ impl StdlibBase {
         }
     }
 
-    /// A fresh session holding this base's library as always-visible
-    /// units, their parses seeded.
-    fn session(&self) -> Session {
-        library_session(
-            self.library
-                .iter()
-                .map(|(n, s, p)| (n.as_str(), s.as_str(), p)),
-        )
-    }
-
     /// The whole-program check of one unit against this base's library
     /// ([`check_with_stdlib`] for the stdlib base): what
     /// [`StdlibBase::extend`] reproduces, and what its callers fall back
     /// to.
     pub fn check_whole(&self, name: &str, src: &str) -> CheckReport {
-        let mut s = self.session();
-        s.update_source(name, src);
-        s.into_report()
+        let units = self.library.iter();
+        check_whole_over(
+            units.map(|(n, s, p)| (n.as_str(), s.as_str(), p)),
+            name,
+            src,
+        )
     }
 
     /// The checked library, when it checked cleanly. Programs returned by
     /// [`StdlibBase::extend`] share its declarations and bodies.
     pub fn program(&self) -> Option<&CheckedProgram> {
-        self.program.as_ref().filter(|_| !self.has_diags)
+        self.program.as_ref()
     }
 
     /// Number of library files (prelude + stdlib units).
@@ -319,10 +332,15 @@ impl StdlibBase {
             return Err(Fallback::Import);
         }
         for d in &program.decls {
-            if let Some(n) = d.name() {
-                if self.names.contains(&n) {
-                    return Err(Fallback::Name(n));
-                }
+            // Unqualified calls try the methods of the current class before
+            // any global, so a global reaches library code only by sharing
+            // a library global's name.
+            let guarded = match d {
+                ast::Decl::Method(_) => &self.names,
+                _ => &self.idents,
+            };
+            if let Some(n) = d.name().filter(|n| guarded.contains(n)) {
+                return Err(Fallback::Name(n));
             }
             let headers: Vec<&ast::Ty> = match d {
                 ast::Decl::Use(_) => return Err(Fallback::Use),
@@ -426,6 +444,18 @@ impl StdlibBase {
             }
         }
     }
+}
+
+/// Every identifier token in the files of `sm` (the library's).
+fn library_idents(sm: &SourceMap) -> HashSet<Symbol> {
+    let mut diags = Diagnostics::new();
+    (0..sm.len())
+        .flat_map(|f| lex(sm, FileId(f as u32), &mut diags))
+        .filter_map(|t| match t.kind {
+            TokenKind::Ident(s) => Some(s),
+            _ => None,
+        })
+        .collect()
 }
 
 /// The type arguments of a generic signature's `where` clauses.

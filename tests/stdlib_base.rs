@@ -305,6 +305,18 @@ int main() { return 0; }",
             Fallback::Name(sym("Comparable")),
         ),
         (
+            // `list.size()` in `ArrayListIterator` names a field of `this`
+            // as a bare receiver, which a class `list` would capture.
+            "class list { } int main() { return 0; }",
+            Fallback::Name(sym("list")),
+        ),
+        (
+            // `cur.item` in `LinkedListIterator` would read this static
+            // field instead of the node's.
+            "class cur { static int item; } int main() { return 0; }",
+            Fallback::Name(sym("cur")),
+        ),
+        (
             "int sortList() { return 0; } int main() { return sortList(); }",
             Fallback::Name(sym("sortList")),
         ),
