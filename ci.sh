@@ -261,3 +261,8 @@ PY
 # --workspace: a bare `cargo bench --no-run` only builds the root
 # package's bench targets, silently skipping the bench crate.
 cargo bench --no-run --workspace
+# The benchmark package (perfbench/, its own workspace) compiles against
+# the facade's and genus-serve's public APIs: build it and run its
+# self-tests in the target directory `perfbench/run.py` uses, so a
+# broken re-export fails here rather than in a benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml

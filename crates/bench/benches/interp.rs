@@ -8,7 +8,10 @@
 //! methods behind interfaces), not like a one-method toy class.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use genus::{CheckedProgram, Compiler, Interp, Vm};
+use genus::{
+    execute_ast_shared, execute_tier_shared, execute_vm_shared, CheckedProgram, Compiler,
+    Execution, Limits, Vm,
+};
 use std::time::Instant;
 
 fn padding(prefix: &str, n: usize) -> String {
@@ -161,27 +164,21 @@ fn assert_hit_rates(mono: &CheckedProgram, mega: &CheckedProgram, model: &Checke
     if !genus::caches_enabled() {
         return;
     }
-    let mut interp = Interp::new(mono);
-    interp.run_main().expect("monomorphic program runs");
-    let s = interp.dispatch_stats();
+    let s = execute_ast_shared(mono, Limits::default()).dispatch_stats;
     assert!(
         s.ic_hits >= 100 * (s.ic_misses + 1),
         "monomorphic site should be absorbed by the inline cache: {s:?}"
     );
     eprintln!("dispatch stats (monomorphic): {s:?}");
 
-    let mut interp = Interp::new(mega);
-    interp.run_main().expect("megamorphic program runs");
-    let s = interp.dispatch_stats();
+    let s = execute_ast_shared(mega, Limits::default()).dispatch_stats;
     assert!(
         s.virt_hits >= 100 * s.virt_misses,
         "megamorphic site should be absorbed by the per-class memo: {s:?}"
     );
     eprintln!("dispatch stats (megamorphic): {s:?}");
 
-    let mut interp = Interp::new(model);
-    interp.run_main().expect("model-dispatch program runs");
-    let s = interp.dispatch_stats();
+    let s = execute_ast_shared(model, Limits::default()).dispatch_stats;
     assert!(
         s.model_hits >= 100 * s.model_misses,
         "model dispatch should be absorbed by the multimethod memo: {s:?}"
@@ -201,12 +198,7 @@ fn bench_dispatch(c: &mut Criterion) {
         ("megamorphic", &mega),
         ("model_dispatch", &model),
     ] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let mut interp = Interp::new(prog);
-                interp.run_main().expect("bench program runs")
-            })
-        });
+        g.bench_function(name, |b| b.iter(|| run_ast(prog)));
     }
     g.finish();
 }
@@ -272,23 +264,20 @@ const SPECIALIZED_DISPATCH: &str = "
     }";
 
 fn run_ast(prog: &CheckedProgram) -> String {
-    let mut interp = Interp::new(prog);
-    let v = interp.run_main().expect("bench program runs on AST");
-    interp.render(&v)
+    value(execute_ast_shared(prog, Limits::default()), "AST")
 }
 
 fn run_vm(prog: &CheckedProgram, code: &std::sync::Arc<genus::VmProgram>) -> String {
-    let mut vm = Vm::with_code(prog, code.clone());
-    let v = vm.run_main().expect("bench program runs on VM");
-    vm.render(&v)
+    value(execute_vm_shared(prog, code, Limits::default()), "VM")
 }
 
 fn run_tier(prog: &CheckedProgram, tier: &genus::TierProgram) -> String {
-    let mut vm = Vm::with_code(prog, tier.code().clone());
-    let v = vm
-        .run_main_tier(tier)
-        .expect("bench program runs on Tier 2");
-    vm.render(&v)
+    value(execute_tier_shared(prog, tier, Limits::default()), "Tier 2")
+}
+
+fn value(ex: Execution, engine: &str) -> String {
+    ex.outcome
+        .unwrap_or_else(|e| panic!("bench program traps on {engine}: {e}"))
 }
 
 /// Minimum wall time in nanoseconds for each of two routines, sampled in
@@ -413,9 +402,9 @@ fn bench_vm(c: &mut Criterion) {
     let heap_code = std::sync::Arc::new(genus::compile_optimized(&heap_prog, 2));
     let churn_stats = |off: bool| {
         set_gc_off(off);
-        let mut vm = Vm::with_code(&heap_prog, heap_code.clone());
-        let v = vm.run_main().expect("heap churn runs on VM");
-        let stats = (vm.render(&v), vm.resource_stats());
+        let ex = execute_vm_shared(&heap_prog, &heap_code, Limits::default());
+        let stats = ex.resource_stats;
+        let stats = (value(ex, "VM"), stats);
         set_gc_off(false);
         stats
     };

@@ -48,6 +48,7 @@ pub use minimize::minimize;
 pub use mutate::mutate;
 pub use oracle::{Divergence, Harness, Verdict};
 
+use genus_vm::run::with_big_stack;
 use std::io;
 use std::path::PathBuf;
 use std::rc::Rc;
@@ -165,18 +166,17 @@ impl FuzzReport {
 /// returns the report. IO errors are corpus/crash-dir filesystem
 /// problems; divergences are *not* errors — they're in the report.
 pub fn fuzz(cfg: FuzzConfig) -> io::Result<FuzzReport> {
-    pipeline::with_big_stack(move || fuzz_on_this_thread(&cfg))
+    with_big_stack(|| fuzz_on_this_thread(&cfg))
 }
 
 /// Runs one source through the full oracle suite (on a big-stack
 /// thread) — the replay entry point for checked-in crash repros.
 pub fn replay(src: &str, fuel: u64) -> Verdict {
-    let src = src.to_string();
-    pipeline::with_big_stack(move || oracle::Harness::new(fuel, None).run_case(&src))
+    with_big_stack(|| oracle::Harness::new(fuel, None).run_case(src))
 }
 
 /// The fuzz loop proper. Requires a big native stack (see
-/// [`pipeline::with_big_stack`]); prefer [`fuzz`] unless already on one.
+/// `genus_vm::run::with_big_stack`); prefer [`fuzz`] unless already on one.
 pub fn fuzz_on_this_thread(cfg: &FuzzConfig) -> io::Result<FuzzReport> {
     let started = Instant::now();
     let mut rng = SplitMix64::new(cfg.seed);

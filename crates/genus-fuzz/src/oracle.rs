@@ -33,10 +33,14 @@
 //! engine-specific units (AST statements vs VM opcodes), so a budget
 //! that stops one engine mid-program stops another somewhere else.
 
-use crate::pipeline::{self, Leg, UNIT_NAME};
+use crate::pipeline::{self, UNIT_NAME};
 use genus_check::Session;
 use genus_common::{EdgeMap, Severity};
+use genus_heap::Heap;
 use genus_interp::Limits;
+use genus_vm::run::{
+    execute_ast_shared, execute_tier_shared, execute_vm_shared, execute_vm_with, Execution,
+};
 use genus_vm::{compile_optimized, compile_tier, link_to_stdlib};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -76,7 +80,7 @@ fn clip(s: &str) -> String {
 }
 
 /// The comparable outcome of a leg, rendered for a divergence report.
-fn key_str(l: &Leg) -> String {
+fn key_str(l: &Execution) -> String {
     match l.outcome_key() {
         Ok(v) => format!("Ok({})", clip(v)),
         Err((code, span)) => format!("Err({code} @ {span:?})"),
@@ -88,9 +92,9 @@ fn key_str(l: &Leg) -> String {
 fn compare(
     oracle: &'static str,
     la: &str,
-    a: &Leg,
+    a: &Execution,
     lb: &str,
-    b: &Leg,
+    b: &Execution,
     fuel: bool,
 ) -> Option<Divergence> {
     if a.outcome_key() != b.outcome_key() {
@@ -109,12 +113,12 @@ fn compare(
             ),
         });
     }
-    if fuel && a.stats.fuel_used != b.stats.fuel_used {
+    if fuel && a.resource_stats.fuel_used != b.resource_stats.fuel_used {
         return Some(Divergence {
             oracle,
             detail: format!(
                 "{la} vs {lb}: fuel {} != {}",
-                a.stats.fuel_used, b.stats.fuel_used
+                a.resource_stats.fuel_used, b.resource_stats.fuel_used
             ),
         });
     }
@@ -191,13 +195,17 @@ impl Harness {
         let limits = self.limits();
 
         // Oracle 2: four-way engine differential.
-        let ast = pipeline::run_ast(&prog, limits);
+        let ast = execute_ast_shared(&prog, limits);
         let code0 = Arc::new(compile_optimized(&prog, 0));
-        let vm0 = pipeline::run_vm(&prog, &code0, limits, false, None);
+        let vm0 = execute_vm_shared(&prog, &code0, limits);
         let code2 = Arc::new(compile_optimized(&prog, 2));
-        let vm2 = pipeline::run_vm(&prog, &code2, limits, false, self.cov.as_ref());
-        let tier = compile_tier(&code2);
-        let jit = pipeline::run_tier(&prog, &tier, limits);
+        let vm2 = execute_vm_with(&prog, &code2, limits, |vm| {
+            if let Some(map) = &self.cov {
+                map.reset();
+                vm.set_coverage(Rc::clone(map));
+            }
+        });
+        let jit = execute_tier_shared(&prog, &compile_tier(&code2), limits);
         if [&ast, &vm0, &vm2, &jit].iter().any(|l| l.fuel_limited()) {
             return Verdict::ResourceSkip;
         }
@@ -212,16 +220,18 @@ impl Harness {
         }
 
         // Oracle 3: GC-stress byte parity on the O2 bytecode.
-        let stress = pipeline::run_vm(&prog, &code2, limits, true, None);
+        let stress = execute_vm_with(&prog, &code2, limits, |vm| {
+            vm.heap = Heap::with_stress(true)
+        });
         if let Some(d) = compare("gc-stress", "vm-o2", &vm2, "vm-o2-stress", &stress, true) {
             return Verdict::Divergence(d);
         }
-        if vm2.stats.mem_used != stress.stats.mem_used {
+        if vm2.resource_stats.mem_used != stress.resource_stats.mem_used {
             return Verdict::Divergence(Divergence {
                 oracle: "gc-stress",
                 detail: format!(
                     "allocated bytes differ under stress: {} != {}",
-                    vm2.stats.mem_used, stress.stats.mem_used
+                    vm2.resource_stats.mem_used, stress.resource_stats.mem_used
                 ),
             });
         }
@@ -235,7 +245,7 @@ impl Harness {
                 })
             }
             Ok(rt) => {
-                let rerun = pipeline::run_vm(&prog, &Arc::new(rt), limits, false, None);
+                let rerun = execute_vm_shared(&prog, &Arc::new(rt), limits);
                 if let Some(d) = compare("roundtrip", "vm-o2", &vm2, "vm-o2-rt", &rerun, true) {
                     return Verdict::Divergence(d);
                 }
@@ -249,7 +259,7 @@ impl Harness {
             .program()
             .expect("warm session agreed there are no errors");
         let warm_code = Arc::new(compile_optimized(warm_prog, 2));
-        let warm_run = pipeline::run_vm(warm_prog, &warm_code, limits, false, None);
+        let warm_run = execute_vm_shared(warm_prog, &warm_code, limits);
         if let Some(d) = compare("incremental", "vm-o2", &vm2, "vm-o2-warm", &warm_run, true) {
             return Verdict::Divergence(d);
         }
@@ -258,7 +268,7 @@ impl Harness {
         // exactly like the whole program.
         if let Some(bp) = based.and_then(|b| b.program) {
             let code = Arc::new(link_to_stdlib(&bp, 2));
-            let run = pipeline::run_vm(&bp, &code, limits, false, None);
+            let run = execute_vm_shared(&bp, &code, limits);
             if let Some(d) = compare("stdlib-base", "vm-o2", &vm2, "vm-o2-base", &run, true) {
                 return Verdict::Divergence(d);
             }

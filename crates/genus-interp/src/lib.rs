@@ -22,18 +22,16 @@
 //! assert_eq!(interp.take_output(), "hi\n");
 //! ```
 
-pub mod meter;
 pub mod natives;
 pub mod ops;
 pub mod rtti;
-pub mod value;
 
-pub use genus_heap::{Handle, Heap, HeapStats};
-pub use meter::{Limits, Meter, ResourceStats};
-pub use value::{
+pub use genus_heap::meter::{Limits, Meter, ResourceStats};
+pub use genus_heap::value::{
     ArrayData, ClassMethodIndex, ErrorKind, ModelValue, ObjData, PackedData, RtType, RuntimeError,
     Storage, Value,
 };
+pub use genus_heap::{Handle, Heap, HeapStats};
 
 use crate::ops::{arith, compare, widen_value};
 use crate::rtti::{ModelDispatchKey, ModelTarget, RecvKind, VirtTarget};

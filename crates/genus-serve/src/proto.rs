@@ -49,6 +49,8 @@
 
 use genus_common::json::{self, Json};
 use genus_interp::Limits;
+use genus_vm::run::{Engine, Execution};
+use std::time::Instant;
 
 /// Which engine executes a request.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -71,16 +73,13 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Parses an engine name (same names as `genus run --engine=`, plus
+    /// Parses an engine name (the names of `genus run --engine=`, plus
     /// `auto` for server-side tier promotion).
     #[must_use]
     pub fn from_name(name: &str) -> Option<EngineKind> {
         match name {
-            "ast" | "interp" => Some(EngineKind::Ast),
-            "vm" | "bytecode" => Some(EngineKind::Vm),
-            "jit" | "tier" => Some(EngineKind::Jit),
             "auto" => Some(EngineKind::Auto),
-            _ => None,
+            _ => Engine::from_name(name).map(EngineKind::from),
         }
     }
 
@@ -88,10 +87,29 @@ impl EngineKind {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            EngineKind::Ast => "ast",
-            EngineKind::Vm => "vm",
-            EngineKind::Jit => "jit",
             EngineKind::Auto => "auto",
+            kind => kind.engine().name(),
+        }
+    }
+
+    /// The engine that runs this kind. `Auto` means the VM wherever no
+    /// hotness promotion applies (sessions, direct calls).
+    #[must_use]
+    pub fn engine(self) -> Engine {
+        match self {
+            EngineKind::Ast => Engine::Ast,
+            EngineKind::Vm | EngineKind::Auto => Engine::Vm,
+            EngineKind::Jit => Engine::Jit,
+        }
+    }
+}
+
+impl From<Engine> for EngineKind {
+    fn from(engine: Engine) -> EngineKind {
+        match engine {
+            Engine::Ast => EngineKind::Ast,
+            Engine::Vm => EngineKind::Vm,
+            Engine::Jit => EngineKind::Jit,
         }
     }
 }
@@ -290,6 +308,12 @@ impl Request {
     }
 }
 
+/// Whole milliseconds since `start` (the responses' `ms` field).
+#[allow(clippy::cast_possible_truncation)]
+pub(crate) fn ms_since(start: Instant) -> u64 {
+    start.elapsed().as_millis() as u64
+}
+
 fn num_field(j: &Json, name: &str) -> Result<f64, String> {
     match j.as_num() {
         Some(n) if n >= 0.0 => Ok(n),
@@ -387,6 +411,31 @@ impl Response {
             ms: 0,
             engine: EngineKind::default(),
             reuse: None,
+        }
+    }
+
+    /// The response of a run: the outcome, output and resource counters of
+    /// `ex` under the engine that ran it. Cache, timing and reuse fields
+    /// start at their defaults for the caller to fill in.
+    pub fn ran(id: impl Into<String>, ex: Execution, engine: Engine) -> Response {
+        let stats = ex.resource_stats;
+        Response {
+            id: id.into(),
+            outcome: match ex.outcome {
+                Ok(value) => Outcome::Ok(value),
+                Err(e) => Outcome::Trap {
+                    code: e.code().to_string(),
+                    message: e.to_string(),
+                },
+            },
+            output: ex.output,
+            fuel_used: stats.fuel_used,
+            mem_used: stats.mem_used,
+            live_bytes: stats.live_bytes,
+            peak_bytes: stats.peak_bytes,
+            collections: stats.collections,
+            engine: engine.into(),
+            ..Response::error("", "")
         }
     }
 

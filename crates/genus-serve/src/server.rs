@@ -24,10 +24,12 @@ use crate::cache::{CachedProgram, ProgramCache, ProgramCacheStats, DEFAULT_CAPAC
 use crate::metrics::ServerMetrics;
 use crate::persist::DiskCache;
 use crate::pool::WorkerPool;
-use crate::proto::{Action, EngineKind, Outcome, Request, Response};
+use crate::proto::{ms_since, Action, EngineKind, Outcome, Request, Response};
 use crate::session::SessionRegistry;
-use genus_interp::{Interp, Limits, ResourceStats, RuntimeError};
-use genus_vm::Vm;
+use genus_interp::Limits;
+use genus_vm::run::{
+    execute_ast_shared, execute_tier_shared, execute_vm_shared, Engine, Execution,
+};
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -349,17 +351,17 @@ fn handle_request(
     let engine = match req.engine {
         EngineKind::Auto => {
             if invocations > config.tier_threshold {
-                EngineKind::Jit
+                Engine::Jit
             } else if invocations > config.vm_threshold || cached.is_disk_loaded() {
                 // A disk-loaded entry already has its bytecode in hand
                 // but no HIR bodies; starting it on the AST rung would
                 // force the full compile persistence exists to skip.
-                EngineKind::Vm
+                Engine::Vm
             } else {
-                EngineKind::Ast
+                Engine::Ast
             }
         }
-        explicit => explicit,
+        explicit => explicit.engine(),
     };
     // Scheduler-enforced deadline: queue time counts. A request that
     // missed its deadline while waiting is rejected with the same trap
@@ -369,125 +371,54 @@ fn handle_request(
         let waited = ms_since(submitted);
         if waited >= deadline {
             return Response {
-                id: req.id,
                 outcome: Outcome::Trap {
                     code: "R0009".to_string(),
                     message: "wall-clock deadline exceeded".to_string(),
                 },
-                output: String::new(),
-                fuel_used: 0,
-                mem_used: 0,
-                live_bytes: 0,
-                peak_bytes: 0,
-                collections: 0,
                 cache_hit,
                 ms: waited,
-                engine,
-                reuse: None,
+                engine: engine.into(),
+                ..Response::error(req.id, "")
             };
         }
         limits.deadline_ms = Some(deadline - waited);
     }
-    let run = match execute(&cached, engine, limits) {
-        Ok(run) => run,
+    match execute(&cached, engine, limits) {
+        Ok(ex) => Response {
+            cache_hit,
+            ms: ms_since(submitted),
+            ..Response::ran(req.id, ex, engine)
+        },
         // Only the AST engine's lazy full compile of a disk-loaded
         // entry can fail here.
-        Err(message) => {
-            return Response {
-                ms: ms_since(submitted),
-                cache_hit,
-                engine,
-                ..Response::error(req.id, message)
-            };
-        }
-    };
-    Response {
-        id: req.id,
-        outcome: match run.outcome {
-            Ok(value) => Outcome::Ok(value),
-            Err(e) => Outcome::Trap {
-                code: e.code().to_string(),
-                message: e.to_string(),
-            },
+        Err(message) => Response {
+            ms: ms_since(submitted),
+            cache_hit,
+            engine: engine.into(),
+            ..Response::error(req.id, message)
         },
-        output: run.output,
-        fuel_used: run.stats.fuel_used,
-        mem_used: run.stats.mem_used,
-        live_bytes: run.stats.live_bytes,
-        peak_bytes: run.stats.peak_bytes,
-        collections: run.stats.collections,
-        cache_hit,
-        ms: ms_since(submitted),
-        engine,
-        reuse: None,
     }
 }
 
-struct RunOutcome {
-    outcome: Result<String, RuntimeError>,
-    output: String,
-    stats: ResourceStats,
-}
-
 /// Runs `main()` on the selected engine against the shared program. The
-/// worker's big stack hosts the AST interpreter directly; the VM shares
-/// the entry's compiled bytecode. Each run gets a **fresh heap** that
-/// dies with the engine, so serve's resident memory stays flat across
-/// requests regardless of how much a program allocates.
+/// worker's big stack hosts the AST interpreter directly; the VM and
+/// Tier 2 share the entry's compiled code, which `vm_code()` and
+/// `tier_code()` compile exactly once behind the entry's `OnceLock`s.
+/// Each run gets a **fresh heap** that dies with the engine, so serve's
+/// resident memory stays flat across requests regardless of how much a
+/// program allocates.
 ///
 /// # Errors
 ///
 /// The AST engine walks HIR bodies, which disk-loaded entries do not
 /// carry — [`CachedProgram::ast_prog`] full-compiles lazily, and its
 /// (cached) failure surfaces here as rendered diagnostics.
-fn execute(
-    cached: &CachedProgram,
-    engine: EngineKind,
-    limits: Limits,
-) -> Result<RunOutcome, String> {
+fn execute(cached: &CachedProgram, engine: Engine, limits: Limits) -> Result<Execution, String> {
     Ok(match engine {
-        EngineKind::Ast => {
-            let mut interp = Interp::new(cached.ast_prog()?);
-            interp.set_limits(limits);
-            let outcome = interp.run_main().map(|v| interp.render(&v));
-            RunOutcome {
-                outcome,
-                stats: interp.resource_stats(),
-                output: interp.take_output(),
-            }
-        }
-        EngineKind::Vm => {
-            let mut vm = Vm::with_code(&cached.prog, cached.vm_code());
-            vm.set_limits(limits);
-            let outcome = vm.run_main().map(|v| vm.render(&v));
-            RunOutcome {
-                outcome,
-                stats: vm.resource_stats(),
-                output: vm.take_output(),
-            }
-        }
-        EngineKind::Jit => {
-            // `tier_code()` blocks racing requests on the entry's
-            // `OnceLock` so exactly one thread tier-compiles.
-            let tier = cached.tier_code();
-            let mut vm = Vm::with_code(&cached.prog, Arc::clone(tier.code()));
-            vm.set_limits(limits);
-            let outcome = vm.run_main_tier(&tier).map(|v| vm.render(&v));
-            RunOutcome {
-                outcome,
-                stats: vm.resource_stats(),
-                output: vm.take_output(),
-            }
-        }
-        // `Auto` is resolved in `handle_request` before execution; run
-        // it like the default engine if a caller bypasses that path.
-        EngineKind::Auto => execute(cached, EngineKind::Vm, limits)?,
+        Engine::Ast => execute_ast_shared(cached.ast_prog()?, limits),
+        Engine::Vm => execute_vm_shared(&cached.prog, &cached.vm_code(), limits),
+        Engine::Jit => execute_tier_shared(&cached.prog, &cached.tier_code(), limits),
     })
-}
-
-#[allow(clippy::cast_possible_truncation)]
-fn ms_since(start: Instant) -> u64 {
-    start.elapsed().as_millis() as u64
 }
 
 #[allow(clippy::cast_possible_truncation)]

@@ -3,8 +3,8 @@
 //! A sessionful request (`{"session": "dev", "action": "update" | "check"
 //! | "run", ...}`) routes through this registry instead of the stateless
 //! program cache. Each named session owns a long-lived
-//! [`genus_check::Session`] — the content-hash-keyed query pipeline —
-//! plus compiled bytecode keyed by the session's generation counter, so a
+//! [`CompileSession`] — the content-hash-keyed query pipeline plus
+//! compiled code keyed by the session's generation counter — so a
 //! sequence of `update`/`check`/`run` requests re-derives only what the
 //! edits could have changed: untouched units keep their parse trees and
 //! check verdicts, and an unchanged program keeps its bytecode.
@@ -17,217 +17,67 @@
 //! that re-checks are cheap). Distinct sessions on distinct connections
 //! still run concurrently; each entry is independently locked.
 
-use crate::proto::{Action, EngineKind, Outcome, Request, Response, SessionReuse};
-use genus_check::Session;
-use genus_common::Severity;
-use genus_interp::{Interp, ResourceStats, RuntimeError};
-use genus_vm::{compile_optimized, compile_tier, TierProgram, Vm, VmProgram};
+use crate::proto::{ms_since, Action, Outcome, Request, Response, SessionReuse};
+use genus_vm::session::CompileSession;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// One named session: the incremental checker plus per-generation
-/// compiled-code slots.
-struct SessionEntry {
-    inner: Session,
-    /// Bytecode for the current program, keyed by `(generation, opt)`.
-    vm_code: Option<(u64, u8, Arc<VmProgram>)>,
-    /// Tier-2 closures over that bytecode, keyed the same way.
-    tier_code: Option<(u64, u8, Arc<TierProgram>)>,
-}
-
-impl SessionEntry {
-    fn new(stdlib: bool) -> SessionEntry {
-        let inner = if stdlib {
-            genus_check::base::stdlib_session()
-        } else {
-            Session::new()
-        };
-        SessionEntry {
-            inner,
-            vm_code: None,
-            tier_code: None,
-        }
+/// Handles one request against a named session.
+fn handle(session: &mut CompileSession, req: Request, submitted: Instant) -> Response {
+    if req.action == Action::Metrics {
+        // The scheduler answers metrics requests before session
+        // routing; this arm only fires on direct registry use.
+        return Response::error(req.id, "`metrics` does not apply to a session");
     }
-
-    fn handle(&mut self, req: Request, submitted: Instant) -> Response {
-        match req.action {
-            Action::Update => {
-                self.inner.update_source(&req.file, &req.source);
-                Response {
-                    id: req.id,
-                    outcome: Outcome::Ok("updated".to_string()),
-                    ms: ms_since(submitted),
-                    engine: req.engine,
-                    ..Response::error("", "")
-                }
-            }
-            Action::Check | Action::Run => {
-                // A check/run carrying text is an implicit update first.
-                if !req.source.is_empty() {
-                    self.inner.update_source(&req.file, &req.source);
-                }
-                let before = self.inner.stats();
-                let report = self.inner.check();
-                let after = self.inner.stats();
-                let reuse = SessionReuse {
-                    reused: after.units_not_rechecked() - before.units_not_rechecked(),
-                    rechecked: after.units_rechecked - before.units_rechecked,
-                };
-                if report.has_errors() {
-                    let sm = self.inner.sm();
-                    let message = self
-                        .inner
-                        .last_diags()
-                        .iter()
-                        .filter(|d| d.severity == Severity::Error)
-                        .map(|d| d.render(sm))
-                        .collect::<Vec<_>>()
-                        .join("\n");
-                    return Response {
-                        reuse: Some(reuse),
-                        ms: ms_since(submitted),
-                        engine: req.engine,
-                        ..Response::error(req.id, message)
-                    };
-                }
-                if req.action == Action::Check {
-                    return Response {
-                        id: req.id,
-                        outcome: Outcome::Ok("checked".to_string()),
-                        reuse: Some(reuse),
-                        ms: ms_since(submitted),
-                        engine: req.engine,
-                        ..Response::error("", "")
-                    };
-                }
-                self.run(req, submitted, reuse)
-            }
-            // The scheduler answers metrics requests before session
-            // routing; this arm only fires on direct registry use.
-            Action::Metrics => Response::error(req.id, "`metrics` does not apply to a session"),
-        }
+    // An update, and a check/run carrying text, replace the unit first.
+    if req.action == Action::Update || !req.source.is_empty() {
+        session.update_source(&req.file, &req.source);
     }
-
-    /// Executes `main()` against the session's checked program, reusing
-    /// compiled bytecode when the generation (and opt level) still match.
-    fn run(&mut self, req: Request, submitted: Instant, reuse: SessionReuse) -> Response {
-        let generation = self.inner.generation();
-        let opt = req.opt_level;
-        // `auto` has no hotness signal here; a session's program is warm
-        // by definition, so it runs on the VM.
-        let engine = match req.engine {
-            EngineKind::Auto => EngineKind::Vm,
-            explicit => explicit,
+    if req.action == Action::Update {
+        return Response {
+            id: req.id,
+            outcome: Outcome::Ok("updated".to_string()),
+            ms: ms_since(submitted),
+            engine: req.engine,
+            ..Response::error("", "")
         };
-        let prog = self
-            .inner
-            .program()
-            .expect("no errors implies a checked program");
-        let mut cache_hit = false;
-        let run = match engine {
-            EngineKind::Ast => {
-                // The submitting thread is not a pool worker, so give the
-                // recursive interpreter its big stack explicitly.
-                std::thread::scope(|scope| {
-                    std::thread::Builder::new()
-                        .name("genus-session-interp".to_string())
-                        .stack_size(crate::pool::WORKER_STACK_SIZE)
-                        .spawn_scoped(scope, || {
-                            let mut interp = Interp::new(prog);
-                            interp.set_limits(req.limits);
-                            let outcome = interp.run_main().map(|v| interp.render(&v));
-                            RunOutcome {
-                                outcome,
-                                stats: interp.resource_stats(),
-                                output: interp.take_output(),
-                            }
-                        })
-                        .expect("spawn session interpreter thread")
-                        .join()
-                        .expect("session interpreter thread panicked")
-                })
-            }
-            EngineKind::Vm | EngineKind::Auto => {
-                let code = match &self.vm_code {
-                    Some((g, o, code)) if *g == generation && *o == opt => {
-                        cache_hit = true;
-                        code.clone()
-                    }
-                    _ => {
-                        let code = Arc::new(compile_optimized(prog, opt));
-                        self.vm_code = Some((generation, opt, code.clone()));
-                        self.tier_code = None;
-                        code
-                    }
-                };
-                let mut vm = Vm::with_code(prog, code);
-                vm.set_limits(req.limits);
-                let outcome = vm.run_main().map(|v| vm.render(&v));
-                RunOutcome {
-                    outcome,
-                    stats: vm.resource_stats(),
-                    output: vm.take_output(),
-                }
-            }
-            EngineKind::Jit => {
-                let code = match &self.vm_code {
-                    Some((g, o, code)) if *g == generation && *o == opt => code.clone(),
-                    _ => {
-                        let code = Arc::new(compile_optimized(prog, opt));
-                        self.vm_code = Some((generation, opt, code.clone()));
-                        self.tier_code = None;
-                        code
-                    }
-                };
-                let tier = match &self.tier_code {
-                    Some((g, o, tier)) if *g == generation && *o == opt => {
-                        cache_hit = true;
-                        tier.clone()
-                    }
-                    _ => {
-                        let tier = Arc::new(compile_tier(&code));
-                        self.tier_code = Some((generation, opt, tier.clone()));
-                        tier
-                    }
-                };
-                let mut vm = Vm::with_code(prog, Arc::clone(tier.code()));
-                vm.set_limits(req.limits);
-                let outcome = vm.run_main_tier(&tier).map(|v| vm.render(&v));
-                RunOutcome {
-                    outcome,
-                    stats: vm.resource_stats(),
-                    output: vm.take_output(),
-                }
-            }
-        };
+    }
+    let before = session.stats();
+    let report = session.check();
+    let after = session.stats();
+    let reuse = Some(SessionReuse {
+        reused: after.units_not_rechecked() - before.units_not_rechecked(),
+        rechecked: after.units_rechecked - before.units_rechecked,
+    });
+    let response = if report.has_errors() {
+        Response {
+            engine: req.engine,
+            ..Response::error(req.id, session.render_errors_short())
+        }
+    } else if req.action == Action::Check {
         Response {
             id: req.id,
-            outcome: match run.outcome {
-                Ok(value) => Outcome::Ok(value),
-                Err(e) => Outcome::Trap {
-                    code: e.code().to_string(),
-                    message: e.to_string(),
-                },
-            },
-            output: run.output,
-            fuel_used: run.stats.fuel_used,
-            mem_used: run.stats.mem_used,
-            live_bytes: run.stats.live_bytes,
-            peak_bytes: run.stats.peak_bytes,
-            collections: run.stats.collections,
-            cache_hit,
-            ms: ms_since(submitted),
-            engine,
-            reuse: Some(reuse),
+            outcome: Outcome::Ok("checked".to_string()),
+            engine: req.engine,
+            ..Response::error("", "")
         }
+    } else {
+        // `auto` has no hotness signal here; a session's program is warm
+        // by definition, so it runs on the VM.
+        let engine = req.engine.engine();
+        session.opt_level(req.opt_level);
+        let ex = session.execute_checked(engine, req.limits);
+        Response {
+            cache_hit: session.code_reused(),
+            ..Response::ran(req.id, ex, engine)
+        }
+    };
+    Response {
+        reuse,
+        ms: ms_since(submitted),
+        ..response
     }
-}
-
-struct RunOutcome {
-    outcome: Result<String, RuntimeError>,
-    output: String,
-    stats: ResourceStats,
 }
 
 /// The server's named-session table. Sessions are created on first use
@@ -236,7 +86,7 @@ struct RunOutcome {
 /// connections using different sessions never contend.
 #[derive(Default)]
 pub struct SessionRegistry {
-    map: Mutex<HashMap<String, Arc<Mutex<SessionEntry>>>>,
+    map: Mutex<HashMap<String, Arc<Mutex<CompileSession>>>>,
 }
 
 impl SessionRegistry {
@@ -262,19 +112,17 @@ impl SessionRegistry {
         let name = req.session.clone().expect("sessionful request");
         let entry = {
             let mut map = self.map.lock().expect("session registry poisoned");
-            Arc::clone(
-                map.entry(name)
-                    .or_insert_with(|| Arc::new(Mutex::new(SessionEntry::new(req.stdlib)))),
-            )
+            Arc::clone(map.entry(name).or_insert_with(|| {
+                Arc::new(Mutex::new(if req.stdlib {
+                    CompileSession::with_stdlib()
+                } else {
+                    CompileSession::new()
+                }))
+            }))
         };
-        let mut entry = entry.lock().expect("session entry poisoned");
-        entry.handle(req, submitted)
+        let mut session = entry.lock().expect("session entry poisoned");
+        handle(&mut session, req, submitted)
     }
-}
-
-#[allow(clippy::cast_possible_truncation)]
-fn ms_since(start: Instant) -> u64 {
-    start.elapsed().as_millis() as u64
 }
 
 #[cfg(test)]

@@ -31,12 +31,20 @@
 //! intra-function cleanup (constant folding, branch folding, dead-code
 //! elimination). [`compile_optimized`] runs compilation plus the
 //! pipeline at a chosen `--opt-level`.
+//!
+//! Every caller runs programs through this crate: [`run`] is the one
+//! engine runner (AST interpreter, VM or Tier 2 under resource limits,
+//! collected into an [`run::Execution`]), and [`session`] holds the
+//! incremental [`session::CompileSession`] with its per-generation code
+//! cache.
 
 pub mod bytecode;
 pub mod compile;
 pub mod link;
 pub mod opt;
+pub mod run;
 pub mod serialize;
+pub mod session;
 pub mod tier;
 pub mod vm;
 

@@ -21,7 +21,7 @@
 //! `2` usage or I/O errors, `3` runtime trap.
 
 use genus::{CheckReport, Engine, ErrorFormat, Limits};
-use genus_serve::{EngineKind, Outcome, Request, ServeConfig, Server, DEFAULT_FUEL};
+use genus_serve::{Outcome, Request, ServeConfig, Server, DEFAULT_FUEL};
 use std::process::ExitCode;
 
 /// Exit tier for compile errors (and denied warnings).
@@ -686,11 +686,7 @@ fn cmd_batch(
             }
         };
         let mut req = Request::new(path.display().to_string(), source);
-        req.engine = match engine {
-            Engine::Ast => EngineKind::Ast,
-            Engine::Vm => EngineKind::Vm,
-            Engine::Jit => EngineKind::Jit,
-        };
+        req.engine = engine.into();
         req.opt_level = opt_level;
         req.stdlib = stdlib;
         req.limits = config.default_limits;

@@ -1,6 +1,12 @@
 //! Facade for the Genus language implementation: a one-stop compile-and-run
-//! pipeline over `genus-syntax`, `genus-check`, the two execution engines
-//! (`genus-interp`, `genus-vm`), and the `genus-stdlib` sources.
+//! builder ([`Compiler`]) over `genus-syntax`, `genus-check`, the three
+//! execution engines (the `genus-interp` AST interpreter, the `genus-vm`
+//! bytecode VM and its Tier 2), and the `genus-stdlib` sources.
+//!
+//! The engine runner ([`Engine`], [`Execution`], `execute_*_shared`) and
+//! the incremental [`CompileSession`] live in `genus-vm` (its `run` and
+//! `session` modules), where genus-serve and genus-fuzz use them too;
+//! this crate re-exports them under their historical names.
 //!
 //! # Examples
 //!
@@ -22,8 +28,6 @@
 //! assert_eq!(result.rendered_value, "42");
 //! ```
 
-pub mod session;
-
 pub use genus_check::{
     check_program, hir, CheckReport, CheckedProgram, SessionReport, SessionStats,
 };
@@ -34,88 +38,16 @@ pub use genus_interp::{
     DispatchStats, ErrorKind, Interp, Limits, Meter, ResourceStats, RuntimeError, Value,
 };
 pub use genus_types::{caches_enabled, set_caches_enabled, CacheStats};
+use genus_vm::run::{self, finish};
+pub use genus_vm::run::{
+    execute_ast_shared, execute_tier_shared, execute_vm_shared, Engine, Execution, RunResult,
+    INTERP_STACK_SIZE,
+};
+pub use genus_vm::session::CompileSession;
 pub use genus_vm::{
     compile_optimized, compile_program, compile_tier, OptStats, TierProgram, TierStats, Vm,
     VmProgram,
 };
-pub use session::CompileSession;
-
-/// Which execution engine runs the program.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Engine {
-    /// The tree-walking interpreter over HIR. Recurses on the host
-    /// stack, so the facade runs it on a dedicated big-stack thread.
-    #[default]
-    Ast,
-    /// The bytecode register VM (`genus-vm`). Keeps Genus frames in an
-    /// explicit stack, so it runs on the calling thread.
-    Vm,
-    /// Tier 2: the optimized bytecode translated once more into nested
-    /// Rust closures with pre-resolved operands (`genus-vm`'s `tier`
-    /// module) — no fetch/decode loop at run time. Observable behaviour,
-    /// including fuel accounting, is identical to [`Engine::Vm`] over
-    /// the same bytecode.
-    Jit,
-}
-
-impl Engine {
-    /// Parses an engine name as used by `genus run --engine=<name>`.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Engine> {
-        match name {
-            "ast" | "interp" => Some(Engine::Ast),
-            "vm" | "bytecode" => Some(Engine::Vm),
-            "jit" | "tier" => Some(Engine::Jit),
-            _ => None,
-        }
-    }
-
-    /// The canonical CLI name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Ast => "ast",
-            Engine::Vm => "vm",
-            Engine::Jit => "jit",
-        }
-    }
-}
-
-/// Outcome of running a program through [`Compiler::run`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunResult {
-    /// `main`'s return value, rendered.
-    pub rendered_value: String,
-    /// Everything printed by the program.
-    pub output: String,
-}
-
-/// Full outcome of [`Compiler::execute`]: unlike [`Compiler::run`], the
-/// captured output and statistics are available even when `main` traps.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Execution {
-    /// `main`'s rendered return value, or the structured runtime trap
-    /// (stable `R0xxx` code + message + optional span).
-    pub outcome: Result<String, RuntimeError>,
-    /// Everything printed before completion (or before the trap).
-    pub output: String,
-    /// The engine's dispatch-cache counters for this run.
-    pub dispatch_stats: DispatchStats,
-    /// The type-level query-cache counters (subtype/prereq/conforms/
-    /// resolve), accumulated over checking and execution.
-    pub cache_stats: CacheStats,
-    /// Bytecode-optimizer counters (specialization, folding, …). `None`
-    /// on the AST engine, which has no bytecode to optimize.
-    pub opt_stats: Option<OptStats>,
-    /// Resources consumed by this run: fuel steps, exact allocated
-    /// bytes (see [`Limits`]), plus the heap's live/peak byte counters
-    /// and the number of collections. Counted even when no limit is set.
-    pub resource_stats: ResourceStats,
-    /// Tier-compilation counters. `Some` only on [`Engine::Jit`] — the
-    /// anti-vacuity signal for differential tests (a parity claim means
-    /// nothing if no function was actually tiered).
-    pub tier_stats: Option<TierStats>,
-}
 
 /// A builder-style compiler front end.
 ///
@@ -270,18 +202,7 @@ impl Compiler {
     /// the caller obtained the program via [`Compiler::check_report`] (to
     /// render warnings first) and wants to reuse it.
     pub fn execute_checked(&self, prog: CheckedProgram) -> Execution {
-        match self.engine {
-            Engine::Ast => execute_ast(prog, self.limits).0,
-            Engine::Vm => {
-                let code = std::sync::Arc::new(compile_optimized(&prog, self.opt_level));
-                execute_vm_shared(&prog, &code, self.limits)
-            }
-            Engine::Jit => {
-                let code = std::sync::Arc::new(compile_optimized(&prog, self.opt_level));
-                let tier = compile_tier(&code);
-                execute_tier_shared(&prog, &tier, self.limits)
-            }
-        }
+        run::execute(self.engine, &prog, self.opt_level, self.limits)
     }
 
     /// Compiles and runs `main()`, returning its value and captured output.
@@ -304,7 +225,10 @@ impl Compiler {
     /// string, so an engine can reword a message without breaking
     /// parity. The VM and Tier 2 run the *same* bytecode, so their fuel
     /// accounting must additionally be **identical**, step for step —
-    /// the by-construction guarantee behind R0009/R0010 parity.
+    /// the by-construction guarantee behind R0009/R0010 parity. Fuel is
+    /// counted in engine-specific units (AST statements vs opcodes), so
+    /// when any engine runs out of it (`R0009`) the AST run is not
+    /// compared with the other two.
     ///
     /// # Errors
     ///
@@ -314,21 +238,15 @@ impl Compiler {
     /// test suite.
     pub fn run_differential(&self) -> Result<RunResult, String> {
         let prog = self.compile()?;
-        let (ast, prog) = execute_ast(prog, self.limits);
+        let ast = run::execute(Engine::Ast, &prog, self.opt_level, self.limits);
         let code = std::sync::Arc::new(compile_optimized(&prog, self.opt_level));
         let vm = execute_vm_shared(&prog, &code, self.limits);
-        let tier = compile_tier(&code);
-        let jit = execute_tier_shared(&prog, &tier, self.limits);
-        let pair_agrees = |a: &Execution, b: &Execution| {
-            let outcomes = match (&a.outcome, &b.outcome) {
-                (Ok(x), Ok(y)) => x == y,
-                // Structured parity: code + span, not message text.
-                (Err(x), Err(y)) => x.code() == y.code() && x.span == y.span,
-                _ => false,
-            };
-            outcomes && a.output == b.output
+        let jit = execute_tier_shared(&prog, &compile_tier(&code), self.limits);
+        let agree = |a: &Execution, b: &Execution| {
+            a.outcome_key() == b.outcome_key() && a.output == b.output
         };
-        if !pair_agrees(&ast, &vm) || !pair_agrees(&vm, &jit) {
+        let fuel_limited = [&ast, &vm, &jit].iter().any(|ex| ex.fuel_limited());
+        if (!fuel_limited && !agree(&ast, &vm)) || !agree(&vm, &jit) {
             return Err(format!(
                 "engine divergence:\n  ast outcome: {:?}\n  vm  outcome: {:?}\n  jit outcome: {:?}\n  ast output: {:?}\n  vm  output: {:?}\n  jit output: {:?}",
                 ast.outcome, vm.outcome, jit.outcome, ast.output, vm.output, jit.output
@@ -342,122 +260,6 @@ impl Compiler {
             ));
         }
         finish(vm)
-    }
-}
-
-/// Runs on the tree-walking interpreter. The program (with its warmed-up
-/// query caches) moves onto a dedicated thread, and the big stack keeps
-/// the interpreter's recursion guard, not the native stack, the binding
-/// limit. The program is handed back so callers can reuse the
-/// compilation (differential runs).
-fn execute_ast(prog: CheckedProgram, limits: Limits) -> (Execution, CheckedProgram) {
-    std::thread::Builder::new()
-        .name("genus-interp".to_string())
-        .stack_size(INTERP_STACK_SIZE)
-        .spawn(move || {
-            let ex = execute_ast_shared(&prog, limits);
-            (ex, prog)
-        })
-        .expect("spawn interpreter thread")
-        .join()
-        .expect("interpreter thread panicked")
-}
-
-/// How much native stack the AST interpreter needs: each Genus frame
-/// costs tens of KiB of host stack in debug builds, so the facade (and
-/// the serve worker pool) runs it under a 256 MiB stack.
-pub const INTERP_STACK_SIZE: usize = 256 << 20;
-
-/// Runs `main()` on the tree-walking interpreter against a **shared**
-/// checked program (the caller is responsible for providing enough
-/// native stack — see [`INTERP_STACK_SIZE`]; the facade's big-stack
-/// thread or a serve worker both qualify). Cache counters in the result
-/// are the delta accumulated during this run, so concurrent runs over
-/// one cached program report per-request numbers.
-pub fn execute_ast_shared(prog: &CheckedProgram, limits: Limits) -> Execution {
-    let cache_base = prog.table.cache.stats();
-    let mut interp = Interp::new(prog);
-    interp.set_limits(limits);
-    let outcome = interp.run_main().map(|v| interp.render(&v));
-    Execution {
-        outcome,
-        resource_stats: interp.resource_stats(),
-        output: interp.take_output(),
-        dispatch_stats: interp.dispatch_stats(),
-        cache_stats: prog.table.cache.stats().since(&cache_base),
-        opt_stats: None,
-        tier_stats: None,
-    }
-}
-
-/// Runs `main()` on the bytecode VM over a **shared** compiled program.
-/// The VM's dispatch loop keeps the host stack flat, so no dedicated
-/// thread is needed; `code` is `Send + Sync` and may be served to many
-/// workers at once. Cache counters in the result are the delta
-/// accumulated during this run.
-pub fn execute_vm_shared(
-    prog: &CheckedProgram,
-    code: &std::sync::Arc<VmProgram>,
-    limits: Limits,
-) -> Execution {
-    let cache_base = prog.table.cache.stats();
-    let opt_stats = Some(code.opt_stats);
-    let mut vm = Vm::with_code(prog, std::sync::Arc::clone(code));
-    vm.set_limits(limits);
-    let outcome = vm.run_main().map(|v| vm.render(&v));
-    Execution {
-        outcome,
-        resource_stats: vm.resource_stats(),
-        output: vm.take_output(),
-        dispatch_stats: vm.dispatch_stats(),
-        cache_stats: prog.table.cache.stats().since(&cache_base),
-        opt_stats,
-        tier_stats: None,
-    }
-}
-
-/// Runs `main()` on the closure-compiled Tier 2 over a **shared**
-/// [`TierProgram`]. Like the VM, the tier keeps Genus frames in an
-/// explicit stack (host stack stays flat) and the compiled closures are
-/// `Send + Sync`, so one tier program may be served to many workers at
-/// once. Cache counters in the result are the delta accumulated during
-/// this run.
-pub fn execute_tier_shared(prog: &CheckedProgram, tier: &TierProgram, limits: Limits) -> Execution {
-    let cache_base = prog.table.cache.stats();
-    let opt_stats = Some(tier.code().opt_stats);
-    let mut vm = Vm::with_code(prog, std::sync::Arc::clone(tier.code()));
-    vm.set_limits(limits);
-    let outcome = vm.run_main_tier(tier).map(|v| vm.render(&v));
-    Execution {
-        outcome,
-        resource_stats: vm.resource_stats(),
-        output: vm.take_output(),
-        dispatch_stats: vm.dispatch_stats(),
-        cache_stats: prog.table.cache.stats().since(&cache_base),
-        opt_stats,
-        tier_stats: Some(tier.stats),
-    }
-}
-
-/// Collapses an [`Execution`] into [`Compiler::run`]'s result shape,
-/// attaching the stable code and pre-trap output to the error message.
-fn finish(ex: Execution) -> Result<RunResult, String> {
-    match ex.outcome {
-        Ok(rendered_value) => Ok(RunResult {
-            rendered_value,
-            output: ex.output,
-        }),
-        Err(e) => {
-            let msg = format!("error[{}]: {e}", e.code());
-            if ex.output.is_empty() {
-                Err(msg)
-            } else {
-                Err(format!(
-                    "{msg}\n--- output before the error ---\n{}",
-                    ex.output
-                ))
-            }
-        }
     }
 }
 
@@ -594,6 +396,15 @@ mod tests {
         assert_eq!(Engine::from_name("llvm"), None);
         assert_eq!(Engine::Vm.name(), "vm");
         assert_eq!(Engine::Jit.name(), "jit");
+    }
+
+    #[test]
+    fn session_errors_render_like_one_shot() {
+        let mut s = CompileSession::new();
+        s.update_source("main.genus", "int main() { return nope; }");
+        let err = s.run(Engine::Ast, Limits::default()).unwrap_err();
+        let one_shot = run_simple("int main() { return nope; }").unwrap_err();
+        assert_eq!(err, one_shot);
     }
 
     #[test]

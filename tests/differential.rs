@@ -329,6 +329,23 @@ fn fuel_trap_parity_across_levels() {
     }
 }
 
+/// A fuel budget stops the AST interpreter and the bytecode engines at
+/// different points (statements vs opcodes), so a printing loop shows
+/// different output when the budget runs out. `run_differential` must
+/// report the fuel trap, not an engine divergence; the VM and Tier 2 are
+/// still compared exactly (same bytecode, same step at which fuel ends).
+#[test]
+fn run_differential_reports_fuel_trap_not_divergence() {
+    let src = "int main() { int i = 0; while (true) { println(i); i = i + 1; } return i; }";
+    let err = Compiler::new()
+        .fuel(1000)
+        .source("spin.genus", src)
+        .run_differential()
+        .expect_err("must trap on fuel");
+    assert!(err.starts_with("error[R0009]"), "{err}");
+    assert!(!err.contains("divergence"), "{err}");
+}
+
 /// No sample file is left out of the harness: if someone adds a new sample,
 /// this test forces them to add a differential case for it above.
 #[test]
