@@ -17,8 +17,10 @@ cargo test -q
 # The differential harness again with every dispatch/type-query cache
 # bypassed: both engines must agree on the slow paths too.
 cargo test -q --features no-cache
-cargo clippy --all-targets -- -D warnings
-RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps -q
+# --workspace, as for the build: without it clippy and rustdoc see only
+# the root package, not the crates under crates/.
+cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS=-Dwarnings cargo doc --workspace --no-deps -q
 # The diagnostics rendering contract, exercised end to end in both the
 # human (snippet) and machine (JSON) --error-format modes: the golden
 # files pin the human/short/json renderings, and the CLI suite drives the

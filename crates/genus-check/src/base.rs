@@ -165,10 +165,11 @@ pub struct StdlibBase {
     dispatch_classes: HashSet<ClassId>,
 }
 
+static STDLIB_BASE: OnceLock<StdlibBase> = OnceLock::new();
+
 /// The process-wide base, checked on first use.
 pub fn stdlib_base() -> &'static StdlibBase {
-    static BASE: OnceLock<StdlibBase> = OnceLock::new();
-    BASE.get_or_init(StdlibBase::build)
+    STDLIB_BASE.get_or_init(StdlibBase::build)
 }
 
 impl StdlibBase {
@@ -262,7 +263,9 @@ impl StdlibBase {
 
     /// Checks the unit `name` with text `src` as an extension of the base,
     /// producing exactly the report of [`check_with_stdlib`] — or the
-    /// channel that makes the whole-program check necessary.
+    /// channel that makes the whole-program check necessary. A program
+    /// extending the process-wide [`stdlib_base`] says so
+    /// ([`CheckedProgram::extends_stdlib_base`]).
     ///
     /// # Errors
     ///
@@ -309,6 +312,7 @@ impl StdlibBase {
             model_bodies: base.model_bodies.clone(),
             field_inits: base.field_inits.clone(),
             static_inits: base.static_inits.clone(),
+            extends_stdlib_base: STDLIB_BASE.get().is_some_and(|b| std::ptr::eq(b, self)),
         };
         check_bodies_filter(&mut checked, &mut diags, Some(file));
         checked

@@ -13,7 +13,7 @@
 //!   by the *interface* fingerprints of every unit. A body-only edit keeps
 //!   every interface fingerprint, so the prefix [`Table`] survives; the edited
 //!   unit's bodies and spans are patched into it positionally
-//!   ([`patch_unit`]).
+//!   (`patch_unit`).
 //! * **Per-unit verdicts** (lowered HIR bodies plus diagnostics) are keyed by
 //!   `(content fingerprint, deps fingerprint)`, where the deps fingerprint
 //!   folds the global environment fingerprint (models and `use` declarations
@@ -29,9 +29,7 @@
 //! `incremental_agrees` property test in the workspace root asserts that a
 //! warm re-check after random edits produces byte-identical diagnostics.
 
-use crate::{
-    check_bodies_filter, imports, new_checked_shell, prelude, CheckReport, CheckedProgram,
-};
+use crate::{check_bodies_filter, imports, prelude, CheckReport, CheckedProgram};
 use genus_common::{Diagnostic, Diagnostics, FastMap, FileId, Severity, SourceMap, Span};
 use genus_syntax::ast;
 use genus_syntax::{combine_fps, Fp, ParseCache, ParsedUnit};
@@ -300,6 +298,14 @@ impl Session {
         &self.sm
     }
 
+    /// Whether `name` is a library unit: the prelude, or a unit seeded
+    /// ahead of user code (the stdlib).
+    pub fn is_library_unit(&self, name: &str) -> bool {
+        self.units[..self.library_files() as usize]
+            .iter()
+            .any(|u| u.name == name)
+    }
+
     /// The names of all units, in unit order.
     pub fn unit_names(&self) -> Vec<&str> {
         self.units.iter().map(|u| u.name.as_str()).collect()
@@ -437,7 +443,7 @@ impl Session {
                 .collect();
             let n = self.units.len();
             self.sem = Some(Sem {
-                checked: new_checked_shell(table),
+                checked: CheckedProgram::from_table(table),
                 prefix_key,
                 prefix_diags,
                 prefix_diag_files,

@@ -39,7 +39,7 @@ pub use incremental::{Session, SessionReport, SessionStats};
 
 use body::BodyCtx;
 use collect::Scope;
-use genus_common::{Diagnostic, Diagnostics, ErrorFormat, Severity, SourceMap, Symbol};
+use genus_common::{diag, Diagnostic, Diagnostics, ErrorFormat, Severity, SourceMap, Symbol};
 use genus_syntax::ast;
 use genus_types::{ClassId, Model, ModelId, Table, Type};
 use std::collections::HashMap;
@@ -65,9 +65,35 @@ pub struct CheckedProgram {
     pub field_inits: HashMap<(u32, u32), Arc<hir::Expr>>,
     /// Static field initializers in declaration order — run at startup.
     pub static_inits: Vec<(ClassId, usize, Arc<hir::Expr>)>,
+    /// Whether [`base::StdlibBase::extend`] built this program on the
+    /// process-wide [`base::stdlib_base`], whose library code it can
+    /// then share (see [`CheckedProgram::extends_stdlib_base`]).
+    extends_stdlib_base: bool,
 }
 
 impl CheckedProgram {
+    /// A program with `table`'s declarations and no bodies yet.
+    pub fn from_table(table: Table) -> CheckedProgram {
+        CheckedProgram {
+            table,
+            method_bodies: HashMap::new(),
+            ctor_bodies: HashMap::new(),
+            global_bodies: HashMap::new(),
+            model_bodies: HashMap::new(),
+            field_inits: HashMap::new(),
+            static_inits: Vec::new(),
+            extends_stdlib_base: false,
+        }
+    }
+
+    /// Whether this program was built by [`base::StdlibBase::extend`] on
+    /// the process-wide [`base::stdlib_base`]: its library files are
+    /// exactly that base's, so its code generator may start from the
+    /// base's prebuilt library segment instead of regenerating it.
+    pub fn extends_stdlib_base(&self) -> bool {
+        self.extends_stdlib_base
+    }
+
     /// Finds the index of the entry method `main()` among globals.
     pub fn main_index(&self) -> Option<usize> {
         self.table
@@ -117,25 +143,13 @@ impl CheckReport {
     /// Renders every diagnostic in the given format (errors and warnings
     /// alike), joined appropriately for that format.
     pub fn render(&self, format: ErrorFormat) -> String {
-        let sep = if format == ErrorFormat::Human {
-            "\n\n"
-        } else {
-            "\n"
-        };
-        self.diags
-            .iter()
-            .map(|d| d.render_with(&self.sm, format))
-            .collect::<Vec<_>>()
-            .join(sep)
+        diag::render_diags(&self.diags, &self.sm, format)
     }
 
     /// Renders only the error diagnostics, in the compact one-line mode —
     /// the string shape `check_sources` historically returned.
     pub fn render_errors_short(&self) -> String {
-        self.errors()
-            .map(|d| d.render(&self.sm))
-            .collect::<Vec<_>>()
-            .join("\n")
+        diag::render_errors_short(&self.diags, &self.sm)
     }
 }
 
@@ -184,7 +198,7 @@ pub fn check_sources_report(sources: &[(&str, &str)]) -> CheckReport {
 pub fn check_program(programs: &[ast::Program], diags: &mut Diagnostics) -> CheckedProgram {
     let refs: Vec<&ast::Program> = programs.iter().collect();
     let table = build_prefix(&refs, 0, diags);
-    let mut checked = new_checked_shell(table);
+    let mut checked = CheckedProgram::from_table(table);
     check_bodies_filter(&mut checked, diags, None);
     checked
 }
@@ -239,20 +253,6 @@ fn check_declarations(table: &Table, from: DeclCounts, diags: &mut Diagnostics) 
         multimethod::check_model_conformance(table, ModelId(i as u32), diags);
     }
     wf::check_hierarchy(table, from.classes, diags);
-}
-
-/// An empty [`CheckedProgram`] around a prefix table, to be filled by
-/// [`check_bodies_filter`].
-pub(crate) fn new_checked_shell(table: Table) -> CheckedProgram {
-    CheckedProgram {
-        table,
-        method_bodies: HashMap::new(),
-        ctor_bodies: HashMap::new(),
-        global_bodies: HashMap::new(),
-        model_bodies: HashMap::new(),
-        field_inits: HashMap::new(),
-        static_inits: Vec::new(),
-    }
 }
 
 /// Builds the lexical scope of a class from the table (parameter names are

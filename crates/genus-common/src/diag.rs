@@ -395,20 +395,10 @@ impl Diagnostics {
         self.render_all_with(sm, ErrorFormat::Short)
     }
 
-    /// Normalizes, then renders every diagnostic in the given format,
-    /// joined by newlines (for `Human`, by blank lines).
+    /// Normalizes, then renders every diagnostic like [`render_diags`].
     pub fn render_all_with(&mut self, sm: &SourceMap, format: ErrorFormat) -> String {
         self.normalize();
-        let sep = if format == ErrorFormat::Human {
-            "\n\n"
-        } else {
-            "\n"
-        };
-        self.items
-            .iter()
-            .map(|d| d.render_with(sm, format))
-            .collect::<Vec<_>>()
-            .join(sep)
+        render_diags(&self.items, sm, format)
     }
 
     /// Normalizes, then moves all diagnostics out of the sink.
@@ -433,6 +423,32 @@ impl Diagnostics {
     pub fn len(&self) -> usize {
         self.items.len()
     }
+}
+
+/// Renders every diagnostic in `diags` (errors and warnings alike) in
+/// `format`, joined by newlines (for `Human`, by blank lines).
+pub fn render_diags(diags: &[Diagnostic], sm: &SourceMap, format: ErrorFormat) -> String {
+    let sep = if format == ErrorFormat::Human {
+        "\n\n"
+    } else {
+        "\n"
+    };
+    diags
+        .iter()
+        .map(|d| d.render_with(sm, format))
+        .collect::<Vec<_>>()
+        .join(sep)
+}
+
+/// Renders only the error diagnostics in `diags`, in the compact one-line
+/// mode, one per line.
+pub fn render_errors_short(diags: &[Diagnostic], sm: &SourceMap) -> String {
+    diags
+        .iter()
+        .filter(|d| d.severity == Severity::Error)
+        .map(|d| d.render(sm))
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 #[cfg(test)]

@@ -39,9 +39,8 @@ use genus_common::{EdgeMap, Severity};
 use genus_heap::Heap;
 use genus_interp::Limits;
 use genus_vm::run::{
-    execute_ast_shared, execute_tier_shared, execute_vm_shared, execute_vm_with, Execution,
+    execute_ast_shared, execute_vm_shared, execute_vm_with, Compiled, Engine, Execution,
 };
-use genus_vm::{compile_optimized, compile_tier, link_to_stdlib};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -196,16 +195,16 @@ impl Harness {
 
         // Oracle 2: four-way engine differential.
         let ast = execute_ast_shared(&prog, limits);
-        let code0 = Arc::new(compile_optimized(&prog, 0));
-        let vm0 = execute_vm_shared(&prog, &code0, limits);
-        let code2 = Arc::new(compile_optimized(&prog, 2));
+        let vm0 = Compiled::new(0).execute(&prog, Engine::Vm, limits);
+        let o2 = Compiled::new(2);
+        let code2 = o2.vm_code(&prog);
         let vm2 = execute_vm_with(&prog, &code2, limits, |vm| {
             if let Some(map) = &self.cov {
                 map.reset();
                 vm.set_coverage(Rc::clone(map));
             }
         });
-        let jit = execute_tier_shared(&prog, &compile_tier(&code2), limits);
+        let jit = o2.execute(&prog, Engine::Jit, limits);
         if [&ast, &vm0, &vm2, &jit].iter().any(|l| l.fuel_limited()) {
             return Verdict::ResourceSkip;
         }
@@ -258,17 +257,16 @@ impl Harness {
             .warm
             .program()
             .expect("warm session agreed there are no errors");
-        let warm_code = Arc::new(compile_optimized(warm_prog, 2));
-        let warm_run = execute_vm_shared(warm_prog, &warm_code, limits);
+        let warm_run = Compiled::new(2).execute(warm_prog, Engine::Vm, limits);
         if let Some(d) = compare("incremental", "vm-o2", &vm2, "vm-o2-warm", &warm_run, true) {
             return Verdict::Divergence(d);
         }
 
-        // Oracle 6 (program half): the linked base-path program runs
-        // exactly like the whole program.
+        // Oracle 6 (program half): the base-path program, whose code
+        // links to the stdlib's prebuilt segment, runs exactly like the
+        // whole program.
         if let Some(bp) = based.and_then(|b| b.program) {
-            let code = Arc::new(link_to_stdlib(&bp, 2));
-            let run = execute_vm_shared(&bp, &code, limits);
+            let run = Compiled::new(2).execute(&bp, Engine::Vm, limits);
             if let Some(d) = compare("stdlib-base", "vm-o2", &vm2, "vm-o2-base", &run, true) {
                 return Verdict::Divergence(d);
             }

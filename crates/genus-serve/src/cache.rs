@@ -37,7 +37,9 @@
 use crate::persist::DiskCache;
 use genus_check::CheckedProgram;
 use genus_common::{FastMap, FnvHasher};
-use genus_vm::{compile_optimized, compile_tier, link_to_stdlib, TierProgram, VmProgram};
+use genus_interp::Limits;
+use genus_vm::run::{Compiled, Engine, Execution};
+use genus_vm::{TierProgram, VmProgram};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -51,13 +53,13 @@ pub const SHARDS: usize = 8;
 pub const DEFAULT_CAPACITY: usize = 1024;
 
 /// A compiled-and-checked program shared by every request with the same
-/// source. The bytecode is compiled lazily on the first VM-engine request
-/// (AST-only traffic never pays for it), and the closure-compiled Tier 2
-/// form lazily on the first jit-engine request or hotness promotion —
-/// each behind its own `OnceLock`, so racing requests agree on exactly
-/// one compile per tier. Disk-loaded entries arrive with the bytecode
-/// pre-set and a bodies-blanked AST; [`CachedProgram::ast_prog`] supplies
-/// the full AST on demand.
+/// source. Its code sits in one [`Compiled`] holder: the bytecode is
+/// compiled lazily on the first VM-engine request (AST-only traffic never
+/// pays for it), and the closure-compiled Tier 2 form lazily on the first
+/// jit-engine request or hotness promotion, so racing requests agree on
+/// exactly one compile per tier. Disk-loaded entries arrive with the
+/// bytecode pre-set and a bodies-blanked AST; [`CachedProgram::ast_prog`]
+/// supplies the full AST on demand.
 pub struct CachedProgram {
     /// The checked AST (also carries the type tables and query caches).
     /// For disk-loaded entries the declaration table is complete but the
@@ -65,8 +67,9 @@ pub struct CachedProgram {
     /// consult, nothing the AST interpreter needs. Engines that walk
     /// bodies must go through [`CachedProgram::ast_prog`].
     pub prog: CheckedProgram,
-    /// The entry's optimization level (fixed per cache key).
-    pub opt_level: u8,
+    /// The program's bytecode and Tier 2, at the key's optimization
+    /// level.
+    code: Compiled,
     /// The key's source text (kept for the disk tier and the lazy full
     /// compile of disk-loaded entries).
     source: String,
@@ -75,14 +78,9 @@ pub struct CachedProgram {
     /// Whether this entry was restored from the artifact directory
     /// (bodies blanked) rather than compiled in-process.
     from_disk: bool,
-    /// Whether `prog` extends the process-wide stdlib base, so its
-    /// bytecode links against the stdlib's prebuilt code.
-    on_base: bool,
     /// Runs of this entry so far — the hotness signal driving
     /// `engine: "auto"` tier promotion.
     invocations: AtomicU64,
-    vm_code: OnceLock<Arc<VmProgram>>,
-    tier_code: OnceLock<Arc<TierProgram>>,
     /// Lazy full compile backing [`CachedProgram::ast_prog`] on
     /// disk-loaded entries (never touched otherwise).
     full: OnceLock<Result<CheckedProgram, String>>,
@@ -91,41 +89,67 @@ pub struct CachedProgram {
 impl std::fmt::Debug for CachedProgram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CachedProgram")
-            .field("opt_level", &self.opt_level)
+            .field("opt_level", &self.code.opt_level())
             .field("from_disk", &self.from_disk)
             .field("invocations", &self.invocations())
-            .field("vm_compiled", &self.vm_code.get().is_some())
-            .field("tier_compiled", &self.tier_code.get().is_some())
+            .field("vm_compiled", &self.code.built(Engine::Vm))
+            .field("tier_compiled", &self.tier_compiled())
             .finish_non_exhaustive()
     }
 }
 
 impl CachedProgram {
+    fn new(
+        prog: CheckedProgram,
+        code: Compiled,
+        source: &str,
+        stdlib: bool,
+        from_disk: bool,
+    ) -> Self {
+        CachedProgram {
+            prog,
+            code,
+            source: source.to_string(),
+            stdlib,
+            from_disk,
+            invocations: AtomicU64::new(0),
+            full: OnceLock::new(),
+        }
+    }
+
     /// The shared bytecode, compiling it on first use.
     pub fn vm_code(&self) -> Arc<VmProgram> {
-        Arc::clone(self.vm_code.get_or_init(|| {
-            Arc::new(if self.on_base {
-                link_to_stdlib(&self.prog, self.opt_level)
-            } else {
-                compile_optimized(&self.prog, self.opt_level)
-            })
-        }))
+        self.code.vm_code(&self.prog)
     }
 
     /// The shared Tier 2 closure program, compiling it (and the bytecode
     /// underneath, if this entry never ran on the VM) on first use. Under
     /// racing submissions exactly one thread tier-compiles; the rest
-    /// block on the `OnceLock` and share the result.
+    /// block and share the result.
     pub fn tier_code(&self) -> Arc<TierProgram> {
-        Arc::clone(
-            self.tier_code
-                .get_or_init(|| Arc::new(compile_tier(&self.vm_code()))),
-        )
+        self.code.tier_code(&self.prog)
     }
 
     /// Whether the Tier 2 form has been compiled (without triggering it).
     pub fn tier_compiled(&self) -> bool {
-        self.tier_code.get().is_some()
+        self.code.built(Engine::Jit)
+    }
+
+    /// Runs `main()` on `engine`. The VM and Tier 2 share the entry's
+    /// compiled code; the AST interpreter runs on the calling thread,
+    /// which must have a big stack (a serve worker), over
+    /// [`CachedProgram::ast_prog`]. Each run gets a fresh heap that dies
+    /// with the engine, so serve's resident memory stays flat however
+    /// much a program allocates.
+    ///
+    /// # Errors
+    ///
+    /// The failure of [`CachedProgram::ast_prog`] on the AST engine.
+    pub fn execute(&self, engine: Engine, limits: Limits) -> Result<Execution, String> {
+        Ok(match engine {
+            Engine::Ast => genus_vm::run::execute_ast_shared(self.ast_prog()?, limits),
+            _ => self.code.execute(&self.prog, engine, limits),
+        })
     }
 
     /// Whether this entry came from the artifact directory. Such entries
@@ -381,41 +405,19 @@ impl ProgramCache {
         if let Some(disk) = &self.disk {
             if let Some((prog, code)) = disk.load(source, stdlib, opt_level) {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                let vm_code = OnceLock::new();
-                let _ = vm_code.set(Arc::new(code));
-                return Ok(Arc::new(CachedProgram {
-                    prog,
-                    opt_level,
-                    source: source.to_string(),
-                    stdlib,
-                    from_disk: true,
-                    on_base: false,
-                    invocations: AtomicU64::new(0),
-                    vm_code,
-                    tier_code: OnceLock::new(),
-                    full: OnceLock::new(),
-                }));
+                let code = Compiled::with_vm_code(opt_level, Arc::new(code));
+                return Ok(Arc::new(CachedProgram::new(
+                    prog, code, source, stdlib, true,
+                )));
             }
         }
         self.compiles.fetch_add(1, Ordering::Relaxed);
-        let (result, route) = compile(source, stdlib);
-        if route == Route::Fallback {
+        let (result, fell_back) = compile(source, stdlib);
+        if fell_back {
             self.base_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
-        let cached = result.map(|prog| {
-            Arc::new(CachedProgram {
-                prog,
-                opt_level,
-                source: source.to_string(),
-                stdlib,
-                from_disk: false,
-                on_base: route == Route::Base,
-                invocations: AtomicU64::new(0),
-                vm_code: OnceLock::new(),
-                tier_code: OnceLock::new(),
-                full: OnceLock::new(),
-            })
-        })?;
+        let code = Compiled::new(opt_level);
+        let cached = Arc::new(CachedProgram::new(result?, code, source, stdlib, false));
         if let Some(disk) = &self.disk {
             // Persisting costs one eager bytecode compile (cheap next to
             // the type check we are saving the next process).
@@ -473,44 +475,34 @@ impl ProgramCache {
 /// Unit name of a stateless request's source.
 const REQUEST_NAME: &str = "request.genus";
 
-/// How a compile checked its program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Route {
-    /// Prelude-only program.
-    NoStdlib,
-    /// Extended the process-wide stdlib base.
-    Base,
-    /// Checked the whole program: the base guard found a channel through
-    /// which the request could change a stdlib verdict.
-    Fallback,
-}
-
 /// One checked compile, mirroring the facade's pipeline (prelude +
 /// optional stdlib + the request source) so serve results match
 /// `genus run` byte for byte. A stdlib request extends the process-wide
 /// stdlib base (built by the first such request) when the base's guard
 /// allows, which yields the same program and diagnostics as the
-/// whole-program check it otherwise falls back to.
-fn compile(source: &str, stdlib: bool) -> (Result<CheckedProgram, String>, Route) {
-    let (mut report, route) = if !stdlib {
+/// whole-program check it otherwise falls back to; the flag says whether
+/// it fell back (the guard found a channel through which the request
+/// could change a stdlib verdict).
+fn compile(source: &str, stdlib: bool) -> (Result<CheckedProgram, String>, bool) {
+    let (mut report, fell_back) = if !stdlib {
         (
             genus_check::check_sources_report(&[(REQUEST_NAME, source)]),
-            Route::NoStdlib,
+            false,
         )
     } else {
         match genus_check::base::stdlib_base().extend(REQUEST_NAME, source) {
-            Ok(report) => (report, Route::Base),
+            Ok(report) => (report, false),
             Err(_) => (
                 genus_check::base::check_with_stdlib(REQUEST_NAME, source),
-                Route::Fallback,
+                true,
             ),
         }
     };
     if report.has_errors() {
-        return (Err(report.render_errors_short()), route);
+        return (Err(report.render_errors_short()), fell_back);
     }
     let prog = report.program.take().expect("no errors implies a program");
-    (Ok(prog), route)
+    (Ok(prog), fell_back)
 }
 
 #[cfg(test)]

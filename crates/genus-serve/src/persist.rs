@@ -38,7 +38,6 @@ use genus_common::bytes::{ByteReader, ByteWriter};
 use genus_common::FnvHasher;
 use genus_syntax::fingerprint::{combine_fps, content_fp};
 use genus_vm::VmProgram;
-use std::collections::HashMap;
 use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -213,15 +212,7 @@ pub fn decode(
         return Err("artifact source text differs from the request".to_string());
     }
     let table = genus_types::serial::read_table(&mut r)?;
-    let prog = CheckedProgram {
-        table,
-        method_bodies: HashMap::new(),
-        ctor_bodies: HashMap::new(),
-        global_bodies: HashMap::new(),
-        model_bodies: HashMap::new(),
-        field_inits: HashMap::new(),
-        static_inits: Vec::new(),
-    };
+    let prog = CheckedProgram::from_table(table);
     let code = genus_vm::read_program(&mut r, &prog)?;
     if r.remaining() != 0 {
         return Err(format!("{} trailing bytes in artifact", r.remaining()));

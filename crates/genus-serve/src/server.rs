@@ -20,16 +20,14 @@
 //!   signal-handling dependency, and serve holds no on-disk state that
 //!   could be corrupted mid-request.)
 
-use crate::cache::{CachedProgram, ProgramCache, ProgramCacheStats, DEFAULT_CAPACITY};
+use crate::cache::{ProgramCache, ProgramCacheStats, DEFAULT_CAPACITY};
 use crate::metrics::ServerMetrics;
 use crate::persist::DiskCache;
 use crate::pool::WorkerPool;
 use crate::proto::{ms_since, Action, EngineKind, Outcome, Request, Response};
 use crate::session::SessionRegistry;
 use genus_interp::Limits;
-use genus_vm::run::{
-    execute_ast_shared, execute_tier_shared, execute_vm_shared, Engine, Execution,
-};
+use genus_vm::run::Engine;
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -60,14 +58,15 @@ pub struct ServeConfig {
     /// on the CLI).
     pub tier_threshold: u64,
     /// Artifact directory for persistent bytecode (`--cache-dir=<path>`
-    /// on the CLI). `None` keeps the cache purely in-memory.
+    /// on the CLI). `None` keeps the cache purely in-memory. With a
+    /// directory, the server also compiles (or disk-loads) a canonical
+    /// stdlib program in the background at boot, warming the
+    /// process-global caches and persisting its artifact before the
+    /// first real request arrives; without one, the first request warms
+    /// them just as well.
     pub cache_dir: Option<PathBuf>,
     /// Bound on resident program-cache entries (`--cache-cap=<n>`).
     pub cache_capacity: usize,
-    /// Compile (or disk-load) a canonical stdlib program in the
-    /// background at boot, warming the process-global parse/intern
-    /// caches before the first real request arrives.
-    pub prewarm_stdlib: bool,
 }
 
 impl Default for ServeConfig {
@@ -79,7 +78,6 @@ impl Default for ServeConfig {
             tier_threshold: 8,
             cache_dir: None,
             cache_capacity: DEFAULT_CAPACITY,
-            prewarm_stdlib: false,
         }
     }
 }
@@ -102,8 +100,9 @@ const PREWARM_SOURCE: &str = "int main() { return 0; }";
 impl Server {
     /// Builds a server with its worker pool running. A configured
     /// `cache_dir` that cannot be created is ignored (the server still
-    /// works, purely in-memory); `prewarm_stdlib` schedules its warming
-    /// compile on the pool without blocking construction.
+    /// works, purely in-memory); a configured `cache_dir` also schedules
+    /// the stdlib warming compile on the pool without blocking
+    /// construction.
     pub fn new(config: ServeConfig) -> Server {
         let disk = config
             .cache_dir
@@ -116,7 +115,7 @@ impl Server {
             metrics: Arc::new(ServerMetrics::new()),
             config,
         };
-        if server.config.prewarm_stdlib {
+        if server.config.cache_dir.is_some() {
             let cache = Arc::clone(&server.cache);
             server.pool.submit(move || {
                 let _ = cache.get_or_compile(PREWARM_SOURCE, true, 2);
@@ -345,7 +344,7 @@ fn handle_request(
     };
     // Hotness promotion. Every run counts toward the entry's hotness;
     // `auto` requests read the count to climb AST → VM → Tier 2. The
-    // tier compiles lazily in `execute` (behind the entry's `OnceLock`),
+    // tier compiles lazily in `execute` (once per entry),
     // so a program that never gets hot never pays for it.
     let invocations = cached.bump_invocations();
     let engine = match req.engine {
@@ -383,7 +382,7 @@ fn handle_request(
         }
         limits.deadline_ms = Some(deadline - waited);
     }
-    match execute(&cached, engine, limits) {
+    match cached.execute(engine, limits) {
         Ok(ex) => Response {
             cache_hit,
             ms: ms_since(submitted),
@@ -398,27 +397,6 @@ fn handle_request(
             ..Response::error(req.id, message)
         },
     }
-}
-
-/// Runs `main()` on the selected engine against the shared program. The
-/// worker's big stack hosts the AST interpreter directly; the VM and
-/// Tier 2 share the entry's compiled code, which `vm_code()` and
-/// `tier_code()` compile exactly once behind the entry's `OnceLock`s.
-/// Each run gets a **fresh heap** that dies with the engine, so serve's
-/// resident memory stays flat across requests regardless of how much a
-/// program allocates.
-///
-/// # Errors
-///
-/// The AST engine walks HIR bodies, which disk-loaded entries do not
-/// carry — [`CachedProgram::ast_prog`] full-compiles lazily, and its
-/// (cached) failure surfaces here as rendered diagnostics.
-fn execute(cached: &CachedProgram, engine: Engine, limits: Limits) -> Result<Execution, String> {
-    Ok(match engine {
-        Engine::Ast => execute_ast_shared(cached.ast_prog()?, limits),
-        Engine::Vm => execute_vm_shared(&cached.prog, &cached.vm_code(), limits),
-        Engine::Jit => execute_tier_shared(&cached.prog, &cached.tier_code(), limits),
-    })
 }
 
 #[allow(clippy::cast_possible_truncation)]

@@ -30,6 +30,12 @@ fn handle(session: &mut CompileSession, req: Request, submitted: Instant) -> Res
         // routing; this arm only fires on direct registry use.
         return Response::error(req.id, "`metrics` does not apply to a session");
     }
+    // The library units are fixed: a request text in place of one (the
+    // prelude, say) can panic the checker.
+    if session.is_library_unit(&req.file) {
+        let message = format!("bad request: `file` names the library unit `{}`", req.file);
+        return Response::error(req.id, message);
+    }
     // An update, and a check/run carrying text, replace the unit first.
     if req.action == Action::Update || !req.source.is_empty() {
         session.update_source(&req.file, &req.source);

@@ -344,6 +344,42 @@ fn json_lines_session_end_to_end() {
     server.shutdown();
 }
 
+/// A session request naming a library unit (the prelude, or a stdlib
+/// unit of a stdlib session) is a bad request, not a replacement of that
+/// unit, and the server goes on answering.
+#[test]
+fn session_cannot_replace_a_library_unit() {
+    let server = server(1);
+    let input = [
+        r#"{"id":"8","session":"t","action":"run","file":"<prelude>","source":"int main(){return 2;}"}"#,
+        r#"{"id":"9","session":"t","action":"update","file":"collections.genus","source":"class X { }"}"#,
+        r#"{"id":"10","session":"t","action":"run","source":"int main(){return 2;}"}"#,
+        r#"{"id":"11","session":"n","stdlib":false,"action":"run","file":"collections.genus","source":"int main(){return 3;}"}"#,
+    ]
+    .join("\n");
+    let mut out = Vec::new();
+    server
+        .run_session(Cursor::new(input), &mut out)
+        .expect("session I/O");
+    let lines: Vec<genus_common::json::Json> = out
+        .lines()
+        .map(|l| genus_common::json::parse(&l.unwrap()).expect("valid response JSON"))
+        .collect();
+    let field = |i: usize, k: &str| lines[i].get(k).and_then(|v| v.as_str()).unwrap_or_default();
+    assert_eq!(lines.len(), 4);
+    for (i, unit) in [(0, "<prelude>"), (1, "collections.genus")] {
+        assert_eq!(field(i, "outcome"), "error");
+        assert_eq!(
+            field(i, "message"),
+            format!("bad request: `file` names the library unit `{unit}`")
+        );
+    }
+    assert_eq!((field(2, "id"), field(2, "value")), ("10", "2"));
+    // Without the stdlib, `collections.genus` is an ordinary unit name.
+    assert_eq!((field(3, "id"), field(3, "value")), ("11", "3"));
+    server.shutdown();
+}
+
 /// The same protocol over a real TCP connection.
 #[test]
 fn tcp_session_round_trip() {
@@ -422,12 +458,17 @@ fn metrics_action_reports_counters_and_histogram() {
 /// persists its compiles; a **new** server over the same directory
 /// answers from disk — zero in-process compiles, `disk_hits > 0`, and
 /// byte-identical response payloads (ids and timings aside).
+///
+/// A server with a cache dir first compiles (or disk-loads) a stdlib
+/// warm-up program of its own. The cache-dir tests run one worker, which
+/// takes jobs in order, so the warm-up is done before their first
+/// request and counts exactly once in every counter.
 #[test]
 fn restart_with_cache_dir_serves_from_disk_byte_identically() {
     let dir = std::env::temp_dir().join(format!("genus-serve-restart-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let config = || ServeConfig {
-        workers: 2,
+        workers: 1,
         cache_dir: Some(dir.clone()),
         ..ServeConfig::default()
     };
@@ -450,8 +491,8 @@ fn restart_with_cache_dir_serves_from_disk_byte_identically() {
         );
         cold_line = resp.to_json_line();
         let s = server.cache_stats();
-        assert_eq!((s.compiles, s.disk_hits), (1, 0));
-        assert_eq!(s.disk_writes, 1, "the compile was persisted");
+        assert_eq!((s.compiles, s.disk_hits), (2, 0), "warm-up + request");
+        assert_eq!(s.disk_writes, 2, "both compiles were persisted");
         server.shutdown();
     }
     // "Restart": a fresh process image over the same artifact directory.
@@ -462,7 +503,7 @@ fn restart_with_cache_dir_serves_from_disk_byte_identically() {
     let warm_line = resp.to_json_line();
     let s = server.cache_stats();
     assert_eq!(s.compiles, 0, "no in-process compile after restart");
-    assert_eq!(s.disk_hits, 1);
+    assert_eq!(s.disk_hits, 2, "warm-up + request");
     // Everything observable matches except wall-clock ms: same value,
     // output, fuel, heap accounting, engine.
     let strip_ms = |line: &str| {
@@ -506,11 +547,17 @@ fn poisoned_cache_dir_recompiles_cleanly() {
         server.run_batch(vec![fueled("seed", src, 100_000)]);
         server.shutdown();
     }
+    // The request's artifact (the other one is the warm-up's): artifacts
+    // hold their full source text.
     let artifact = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
-        .find(|p| p.extension().is_some_and(|e| e == "gbc"))
-        .expect("one artifact on disk");
+        .filter(|p| p.extension().is_some_and(|e| e == "gbc"))
+        .find(|p| {
+            let bytes = std::fs::read(p).unwrap();
+            bytes.windows(src.len()).any(|w| w == src.as_bytes())
+        })
+        .expect("the request's artifact on disk");
     for poison in ["truncate", "flip"] {
         let good = std::fs::read(&artifact).unwrap();
         let bad = match poison {
@@ -536,8 +583,8 @@ fn poisoned_cache_dir_recompiles_cleanly() {
         let s = server.cache_stats();
         assert_eq!(
             (s.disk_hits, s.compiles),
-            (0, 1),
-            "{poison} forces recompile"
+            (1, 1),
+            "the warm-up loads, {poison} forces recompile"
         );
         assert_eq!(s.disk_writes, 1, "{poison}d artifact is overwritten");
         server.shutdown();
@@ -545,7 +592,7 @@ fn poisoned_cache_dir_recompiles_cleanly() {
     // The overwritten artifact is good again.
     let server = Server::new(config());
     server.run_batch(vec![fueled("healed", src, 100_000)]);
-    assert_eq!(server.cache_stats().disk_hits, 1);
+    assert_eq!(server.cache_stats().disk_hits, 2, "warm-up + request");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -592,7 +639,7 @@ fn disk_loaded_programs_match_in_process_compiles_on_every_engine() {
         assert_eq!(ra.fuel_used, rb.fuel_used, "{engine:?}");
         assert_eq!(ra.mem_used, rb.mem_used, "{engine:?}");
     }
-    assert_eq!(warm.cache_stats().disk_hits, 1);
+    assert_eq!(warm.cache_stats().disk_hits, 2, "warm-up + program");
     // Auto on a disk-loaded entry skips the AST rung: first invocation
     // already reports vm.
     let mut auto_req = fueled("auto-disk", src, 1_000_000);

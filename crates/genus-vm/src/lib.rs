@@ -34,9 +34,10 @@
 //!
 //! Every caller runs programs through this crate: [`run`] is the one
 //! engine runner (AST interpreter, VM or Tier 2 under resource limits,
-//! collected into an [`run::Execution`]), and [`session`] holds the
+//! collected into an [`run::Execution`]) and holds the one holder of a
+//! program's compiled code ([`run::Compiled`]), and [`session`] holds the
 //! incremental [`session::CompileSession`] with its per-generation code
-//! cache.
+//! holder.
 
 pub mod bytecode;
 pub mod compile;

@@ -18,6 +18,9 @@
 //! [`genus_check::base::StdlibBase::extend`] the result is identical —
 //! function ids, spec tables, specialization decisions and budget
 //! included — to [`crate::compile_optimized`] on the same program.
+//! [`crate::run::Compiled`] links exactly the programs that say they
+//! extend the process-wide base
+//! ([`CheckedProgram::extends_stdlib_base`]) and compiles the rest.
 
 use crate::bytecode::VmProgram;
 use crate::compile::{lower_segment, ConstIndex};

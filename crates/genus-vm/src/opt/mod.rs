@@ -8,7 +8,7 @@
 //! gap to the *heterogeneous* translation the paper credits for its
 //! Table 1 wins, without giving up the dictionary-passing fallback:
 //!
-//! 1. **Specialization** ([`specialize`]): walk every function, find call
+//! 1. **Specialization** (`specialize`): walk every function, find call
 //!    sites whose type/model-argument tuples are closed terms (statically
 //!    known), clone the callee per tuple with the bindings substituted
 //!    into its spec tables, and rewrite the site to a direct call. Inside
@@ -17,7 +17,7 @@
 //!    global clone budget bounds code growth; over-budget or dynamically
 //!    known sites (model variables bound by `Open`, existential
 //!    witnesses) keep the dictionary-passing original.
-//! 2. **Cleanup** ([`cleanup`]): constant folding and propagation, branch
+//! 2. **Cleanup** (`cleanup`): constant folding and propagation, branch
 //!    folding on constant conditions, jump threading, `Move` coalescing,
 //!    and unreachable-code elimination.
 //! 3. **Type reification**: `types`-table entries that are closed and

@@ -7,14 +7,20 @@
 //! genus-serve's stateless and sessionful paths, the fuzzer's oracles and
 //! the benches all run programs through these functions, so the
 //! four-leg differential (AST, VM-O0, VM-O2, Tier 2) compares the same
-//! observables wherever it is checked.
+//! observables wherever it is checked. Outside the benches they also
+//! get their code from one holder, [`Compiled`], which builds a
+//! program's bytecode and Tier 2 once and decides whether the bytecode
+//! links to the stdlib's prebuilt code.
 
-use crate::{compile_optimized, compile_tier, OptStats, TierProgram, TierStats, Vm, VmProgram};
+use crate::{
+    compile_optimized, compile_tier, link_to_stdlib, OptStats, TierProgram, TierStats, Vm,
+    VmProgram,
+};
 use genus_check::CheckedProgram;
 use genus_common::Span;
 use genus_interp::{DispatchStats, Interp, Limits, ResourceStats, RuntimeError};
 use genus_types::CacheStats;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which execution engine runs the program.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -214,17 +220,90 @@ fn vm_execution(
     }
 }
 
-/// Compiles `prog` at `opt_level` as `engine` needs and runs it — the
-/// one-shot path, with nothing cached.
-pub fn execute(engine: Engine, prog: &CheckedProgram, opt_level: u8, limits: Limits) -> Execution {
-    match engine {
-        Engine::Ast => with_big_stack(|| execute_ast_shared(prog, limits)),
-        Engine::Vm => {
-            execute_vm_shared(prog, &Arc::new(compile_optimized(prog, opt_level)), limits)
+/// The compiled code of one checked program at one optimization level:
+/// its bytecode and its Tier-2 closures, each built on first use and then
+/// shared. Racing threads build each at most once (both sit behind a
+/// `OnceLock`), and Tier 2 is built from this holder's own bytecode, so
+/// the VM and Tier 2 run the same code and use the same fuel.
+///
+/// The holder does not own the program: every method takes it, and it
+/// must be the same program each time. A program that
+/// [`StdlibBase::extend`](genus_check::base::StdlibBase::extend) built on
+/// the process-wide stdlib base gets bytecode linked to the stdlib's
+/// prebuilt segment ([`link_to_stdlib`]); any other is compiled whole
+/// ([`compile_optimized`]). Both give the same bytecode.
+pub struct Compiled {
+    opt_level: u8,
+    vm: OnceLock<Arc<VmProgram>>,
+    tier: OnceLock<Arc<TierProgram>>,
+}
+
+impl Compiled {
+    /// Nothing built yet; bytecode will be optimized at `opt_level`
+    /// (clamped to `0..=2`).
+    #[must_use]
+    pub fn new(opt_level: u8) -> Compiled {
+        Compiled {
+            opt_level: opt_level.min(2),
+            vm: OnceLock::new(),
+            tier: OnceLock::new(),
         }
-        Engine::Jit => {
-            let code = Arc::new(compile_optimized(prog, opt_level));
-            execute_tier_shared(prog, &compile_tier(&code), limits)
+    }
+
+    /// A holder whose bytecode, optimized at `opt_level`, is already
+    /// built (loaded from disk, say).
+    #[must_use]
+    pub fn with_vm_code(opt_level: u8, code: Arc<VmProgram>) -> Compiled {
+        Compiled {
+            vm: OnceLock::from(code),
+            ..Compiled::new(opt_level)
+        }
+    }
+
+    /// The optimization level of the bytecode.
+    #[must_use]
+    pub fn opt_level(&self) -> u8 {
+        self.opt_level
+    }
+
+    /// The program's bytecode, built on first use.
+    pub fn vm_code(&self, prog: &CheckedProgram) -> Arc<VmProgram> {
+        Arc::clone(self.vm.get_or_init(|| {
+            Arc::new(if prog.extends_stdlib_base() {
+                link_to_stdlib(prog, self.opt_level)
+            } else {
+                compile_optimized(prog, self.opt_level)
+            })
+        }))
+    }
+
+    /// The program's Tier-2 closures, built on first use from
+    /// [`Compiled::vm_code`].
+    pub fn tier_code(&self, prog: &CheckedProgram) -> Arc<TierProgram> {
+        Arc::clone(
+            self.tier
+                .get_or_init(|| Arc::new(compile_tier(&self.vm_code(prog)))),
+        )
+    }
+
+    /// Whether the code `engine` runs is already built (never for
+    /// [`Engine::Ast`], which runs no compiled code).
+    #[must_use]
+    pub fn built(&self, engine: Engine) -> bool {
+        match engine {
+            Engine::Ast => false,
+            Engine::Vm => self.vm.get().is_some(),
+            Engine::Jit => self.tier.get().is_some(),
+        }
+    }
+
+    /// Runs `main()` of `prog` on `engine`, building the code it needs
+    /// first. The AST interpreter runs on a [`with_big_stack`] thread.
+    pub fn execute(&self, prog: &CheckedProgram, engine: Engine, limits: Limits) -> Execution {
+        match engine {
+            Engine::Ast => with_big_stack(|| execute_ast_shared(prog, limits)),
+            Engine::Vm => execute_vm_shared(prog, &self.vm_code(prog), limits),
+            Engine::Jit => execute_tier_shared(prog, &self.tier_code(prog), limits),
         }
     }
 }

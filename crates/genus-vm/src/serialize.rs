@@ -1056,15 +1056,7 @@ mod tests {
         let mut w = ByteWriter::new();
         write_program(&mut w, &code);
         let bytes = w.into_bytes();
-        let empty_prog = CheckedProgram {
-            table: genus_types::Table::new(),
-            method_bodies: HashMap::new(),
-            ctor_bodies: HashMap::new(),
-            global_bodies: HashMap::new(),
-            model_bodies: HashMap::new(),
-            field_inits: HashMap::new(),
-            static_inits: Vec::new(),
-        };
+        let empty_prog = CheckedProgram::from_table(genus_types::Table::new());
         for cut in [0, 1, 7, bytes.len() / 3, bytes.len() - 1] {
             let mut r = ByteReader::new(&bytes[..cut]);
             assert!(

@@ -11,10 +11,11 @@
 //!    memoized spans are valid everywhere. This is what makes repeated
 //!    `Compiler::check_report` calls stop re-parsing four stdlib files
 //!    per call.
-//! 2. **Engine caching.** Compiled bytecode (and Tier-2 closures) are
-//!    cached per session, keyed by the session's *generation* counter —
-//!    a number that changes whenever a re-check may have changed the
-//!    checked program. Re-running an unchanged program skips bytecode
+//! 2. **Engine caching.** The program's compiled code (one
+//!    [`Compiled`] holder: bytecode and Tier-2 closures) is kept per
+//!    session, keyed by the session's *generation* counter — a number
+//!    that changes whenever a re-check may have changed the checked
+//!    program. Re-running an unchanged program skips bytecode
 //!    compilation entirely; editing a body invalidates exactly once.
 //!
 //! The facade (`genus::CompileSession`, `genus check --watch`) and
@@ -33,15 +34,10 @@
 //! assert!(report.stats.units_not_rechecked() >= 5);
 //! ```
 
-use crate::run::{
-    execute_ast_shared, execute_tier_shared, execute_vm_shared, finish, with_big_stack, Engine,
-    Execution, RunResult,
-};
-use crate::{compile_optimized, compile_tier, TierProgram, VmProgram};
+use crate::run::{finish, Compiled, Engine, Execution, RunResult};
 use genus_check::{CheckReport, CheckedProgram, Session, SessionReport, SessionStats};
-use genus_common::{Diagnostic, ErrorFormat, Severity, SourceMap};
+use genus_common::{diag, Diagnostic, ErrorFormat, SourceMap};
 use genus_interp::Limits;
-use std::sync::Arc;
 
 /// A long-lived, editable compilation pipeline: named units go in via
 /// [`update_source`](CompileSession::update_source), diagnostics and
@@ -53,11 +49,9 @@ use std::sync::Arc;
 pub struct CompileSession {
     inner: Session,
     opt_level: u8,
-    /// Compiled bytecode for the current program, keyed by the session
-    /// generation it was compiled from.
-    vm_code: Option<(u64, Arc<VmProgram>)>,
-    /// Tier-2 closure program, keyed the same way.
-    tier_code: Option<(u64, Arc<TierProgram>)>,
+    /// The compiled code of the current program, keyed by the session
+    /// generation it belongs to.
+    code: Option<(u64, Compiled)>,
     /// Whether the last run found its engine's compiled code cached.
     code_reused: bool,
 }
@@ -74,8 +68,7 @@ impl CompileSession {
         CompileSession {
             inner: Session::new(),
             opt_level: 2,
-            vm_code: None,
-            tier_code: None,
+            code: None,
             code_reused: false,
         }
     }
@@ -95,14 +88,20 @@ impl CompileSession {
         let level = level.min(2);
         if level != self.opt_level {
             self.opt_level = level;
-            self.vm_code = None;
-            self.tier_code = None;
+            self.code = None;
         }
     }
 
     /// Adds or replaces the source text of the unit named `name`.
     pub fn update_source(&mut self, name: &str, src: &str) {
         self.inner.update_source(name, src);
+    }
+
+    /// Whether `name` is a library unit (the prelude, or a stdlib unit
+    /// of a [`with_stdlib`](CompileSession::with_stdlib) session), which
+    /// callers must not replace.
+    pub fn is_library_unit(&self, name: &str) -> bool {
+        self.inner.is_library_unit(name)
     }
 
     /// Re-derives diagnostics for the current sources, reusing memoized
@@ -145,31 +144,13 @@ impl CompileSession {
     /// Renders the last check's diagnostics (errors and warnings alike)
     /// in `format`, joined the way [`CheckReport::render`] joins them.
     pub fn render_diags(&self, format: ErrorFormat) -> String {
-        let sm = self.inner.sm();
-        let sep = if format == ErrorFormat::Human {
-            "\n\n"
-        } else {
-            "\n"
-        };
-        self.inner
-            .last_diags()
-            .iter()
-            .map(|d| d.render_with(sm, format))
-            .collect::<Vec<_>>()
-            .join(sep)
+        diag::render_diags(self.inner.last_diags(), self.inner.sm(), format)
     }
 
     /// Renders only the last check's errors in the classic one-line mode —
     /// the same shape the facade's `Compiler::run` puts in its `Err`.
     pub fn render_errors_short(&self) -> String {
-        let sm = self.inner.sm();
-        self.inner
-            .last_diags()
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .map(|d| d.render(sm))
-            .collect::<Vec<_>>()
-            .join("\n")
+        diag::render_errors_short(self.inner.last_diags(), self.inner.sm())
     }
 
     /// Checks, then runs `main()` on `engine`, reusing compiled bytecode
@@ -195,31 +176,16 @@ impl CompileSession {
     /// When the last check had errors (or no check has run).
     pub fn execute_checked(&mut self, engine: Engine, limits: Limits) -> Execution {
         let generation = self.inner.generation();
-        let opt_level = self.opt_level;
         let prog = self
             .inner
             .program()
             .expect("no errors implies a checked program");
-        self.code_reused = false;
-        match engine {
-            Engine::Ast => with_big_stack(|| execute_ast_shared(prog, limits)),
-            Engine::Vm => {
-                let (code, reused) = cached(&mut self.vm_code, generation, || {
-                    compile_optimized(prog, opt_level)
-                });
-                self.code_reused = reused;
-                execute_vm_shared(prog, &code, limits)
-            }
-            Engine::Jit => {
-                let (code, _) = cached(&mut self.vm_code, generation, || {
-                    compile_optimized(prog, opt_level)
-                });
-                let (tier, reused) =
-                    cached(&mut self.tier_code, generation, || compile_tier(&code));
-                self.code_reused = reused;
-                execute_tier_shared(prog, &tier, limits)
-            }
-        }
+        let code = match &mut self.code {
+            Some((g, code)) if *g == generation => code,
+            slot => &slot.insert((generation, Compiled::new(self.opt_level))).1,
+        };
+        self.code_reused = code.built(engine);
+        code.execute(prog, engine, limits)
     }
 
     /// Whether the last run reused the compiled code its engine needs
@@ -237,23 +203,6 @@ impl CompileSession {
     /// Returns rendered diagnostics or the runtime error message.
     pub fn run(&mut self, engine: Engine, limits: Limits) -> Result<RunResult, String> {
         finish(self.execute(engine, limits)?)
-    }
-}
-
-/// Returns the slot's value when `generation` still matches (and
-/// `true`), building it and re-keying the slot otherwise.
-fn cached<T>(
-    slot: &mut Option<(u64, Arc<T>)>,
-    generation: u64,
-    build: impl FnOnce() -> T,
-) -> (Arc<T>, bool) {
-    match slot {
-        Some((g, value)) if *g == generation => (Arc::clone(value), true),
-        _ => {
-            let value = Arc::new(build());
-            *slot = Some((generation, Arc::clone(&value)));
-            (value, false)
-        }
     }
 }
 
@@ -297,10 +246,14 @@ mod tests {
         s.update_source("m.genus", "int main() { return 6 * 7; }");
         s.run(Engine::Vm, Limits::default()).unwrap();
         let gen1 = s.generation();
-        let code1 = s.vm_code.as_ref().map(|(_, c)| Arc::as_ptr(c));
+        let vm_code = |s: &CompileSession| {
+            let (_, code) = s.code.as_ref().expect("code kept after a run");
+            std::sync::Arc::as_ptr(&code.vm_code(s.program().expect("checked")))
+        };
+        let code1 = vm_code(&s);
         s.run(Engine::Vm, Limits::default()).unwrap();
         assert_eq!(s.generation(), gen1, "no-op re-check must not bump");
-        let code2 = s.vm_code.as_ref().map(|(_, c)| Arc::as_ptr(c));
+        let code2 = vm_code(&s);
         assert_eq!(code1, code2, "bytecode must be reused across reruns");
         assert!(s.code_reused());
         // An edit invalidates the cached bytecode.

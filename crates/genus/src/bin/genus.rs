@@ -324,10 +324,6 @@ fn main() -> ExitCode {
             workers,
             default_limits: limits,
             tier_threshold,
-            // Warming the stdlib at boot only pays off when its artifact
-            // can persist; without a cache dir the first request warms it
-            // just as well.
-            prewarm_stdlib: cache_dir.is_some(),
             cache_dir,
             cache_capacity,
             ..ServeConfig::default()

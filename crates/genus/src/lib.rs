@@ -38,11 +38,11 @@ pub use genus_interp::{
     DispatchStats, ErrorKind, Interp, Limits, Meter, ResourceStats, RuntimeError, Value,
 };
 pub use genus_types::{caches_enabled, set_caches_enabled, CacheStats};
-use genus_vm::run::{self, finish};
 pub use genus_vm::run::{
     execute_ast_shared, execute_tier_shared, execute_vm_shared, Engine, Execution, RunResult,
     INTERP_STACK_SIZE,
 };
+use genus_vm::run::{finish, Compiled};
 pub use genus_vm::session::CompileSession;
 pub use genus_vm::{
     compile_optimized, compile_program, compile_tier, OptStats, TierProgram, TierStats, Vm,
@@ -202,7 +202,7 @@ impl Compiler {
     /// the caller obtained the program via [`Compiler::check_report`] (to
     /// render warnings first) and wants to reuse it.
     pub fn execute_checked(&self, prog: CheckedProgram) -> Execution {
-        run::execute(self.engine, &prog, self.opt_level, self.limits)
+        Compiled::new(self.opt_level).execute(&prog, self.engine, self.limits)
     }
 
     /// Compiles and runs `main()`, returning its value and captured output.
@@ -238,10 +238,9 @@ impl Compiler {
     /// test suite.
     pub fn run_differential(&self) -> Result<RunResult, String> {
         let prog = self.compile()?;
-        let ast = run::execute(Engine::Ast, &prog, self.opt_level, self.limits);
-        let code = std::sync::Arc::new(compile_optimized(&prog, self.opt_level));
-        let vm = execute_vm_shared(&prog, &code, self.limits);
-        let jit = execute_tier_shared(&prog, &compile_tier(&code), self.limits);
+        let code = Compiled::new(self.opt_level);
+        let [ast, vm, jit] =
+            [Engine::Ast, Engine::Vm, Engine::Jit].map(|e| code.execute(&prog, e, self.limits));
         let agree = |a: &Execution, b: &Execution| {
             a.outcome_key() == b.outcome_key() && a.output == b.output
         };

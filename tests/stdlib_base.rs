@@ -17,6 +17,7 @@ use genus_repro::{
     compile_optimized, compile_tier, execute_tier_shared, execute_vm_shared, Execution, Limits,
 };
 use genus_serve::ProgramCache;
+use genus_vm::run::Compiled;
 use genus_vm::{link_to_stdlib, write_program, Codegen, VmProgram};
 use std::sync::Arc;
 
@@ -66,12 +67,19 @@ fn assert_parity(what: &str, src: &str) -> CheckReport {
     assert_eq!(rendered(&base), rendered(&whole), "{what}: diagnostics");
     assert_eq!(base.program.is_some(), whole.program.is_some(), "{what}");
     if let (Some(bp), Some(wp)) = (&base.program, &whole.program) {
+        // The code holder links the base path and compiles the whole one.
+        assert!(bp.extends_stdlib_base(), "{what}: base program unmarked");
+        assert!(!wp.extends_stdlib_base(), "{what}: whole program marked");
         for level in [0, 2] {
             let linked = link_to_stdlib(bp, level);
             let full = compile_optimized(wp, level);
             assert!(
                 bytes(&linked) == bytes(&full),
                 "{what}: bytecode differs at O{level}"
+            );
+            assert!(
+                bytes(&Compiled::new(level).vm_code(bp)) == bytes(&full),
+                "{what}: held bytecode differs at O{level}"
             );
             assert_eq!(linked.opt_stats, full.opt_stats, "{what}: O{level} stats");
             assert_eq!(
@@ -398,6 +406,8 @@ int main() { return libTag(); }";
     let whole = base.check_whole(UNIT, plain);
     assert_eq!(rendered(&ext), rendered(&whole));
     let (ep, wp) = (ext.program.unwrap(), whole.program.unwrap());
+    // Only the process-wide stdlib base has prebuilt code to link to.
+    assert!(!ep.extends_stdlib_base());
     let files = base.library_files();
     let mut cg = Codegen::new(2);
     cg.segment(base.program().expect("library checks"), 0..files);
