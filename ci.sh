@@ -159,6 +159,44 @@ test "$(wc -l < target/serve_session.out)" -eq 3
 grep -q '"id":"u1","outcome":"ok","value":"updated"' target/serve_session.out
 grep -q '"id":"c1","outcome":"ok","value":"checked".*"rechecked":6' target/serve_session.out
 grep -q '"id":"r1","outcome":"ok","value":"42".*"reused":[1-9][0-9]*,"rechecked":1' target/serve_session.out
+# Third, an edit stream on one session: body edits, one edit that adds a
+# model plus `use` (which changes what the stdlib's verdicts depend on),
+# then body edits again. Each run must answer exactly what a stateless
+# request for the same text answers, and the metrics must show the
+# session kept its library segment: rebuilt for the model edit, reused
+# for the body edits.
+python3 - <<'PY'
+import json, subprocess
+plain = ("int main() {{ ArrayList[int] l = new ArrayList[int]();"
+         " for (int i = 0; i < {n}; i = i + 1) {{ l.add(i * 3); }}"
+         " println(\"n \" + l.size()); return l.get({n} - 1); }}")
+boxed = ("class Box[T] {{ T item; Box(T item) {{ this.item = item; }} T item() {{ return item; }} }}\n"
+         "model BoxCmp[E] for Comparable[Box[E]] where Comparable[E] {{\n"
+         "  int compareTo(Box[E] o) {{ return item().compareTo(o.item()); }}\n"
+         "  boolean equals(Box[E] o) {{ return item().compareTo(o.item()) == 0; }}\n}}\n"
+         "use BoxCmp;\n"
+         "int main() {{ TreeSet[Box[int]] s = new TreeSet[Box[int]]();"
+         " for (int i = 0; i < {n}; i = i + 1) {{ s.add(new Box[int](i * 11 % 17)); }}"
+         " println(\"first \" + s.first().item()); return s.size(); }}")
+texts = [plain.format(n=n) for n in range(3, 7)] + [boxed.format(n=n) for n in range(5, 11)]
+reqs = []
+for i, src in enumerate(texts):
+    reqs.append({"id": "e%d" % i, "session": "edits", "action": "run", "source": src})
+    reqs.append({"id": "s%d" % i, "source": src})
+reqs.append({"id": "m", "action": "metrics"})
+out = subprocess.run(["target/release/genus", "serve", "--workers=2"], check=True,
+                     input="".join(json.dumps(r) + "\n" for r in reqs),
+                     capture_output=True, text=True)
+resp = {r["id"]: r for r in map(json.loads, out.stdout.splitlines())}
+for i in range(len(texts)):
+    e, s = resp["e%d" % i], resp["s%d" % i]
+    assert e["outcome"] == "ok", e
+    assert (e["value"], e["output"]) == (s["value"], s["output"]), (e, s)
+sessions = json.loads(resp["m"]["value"])["sessions"]
+assert sessions["library_builds"] >= 2 and sessions["library_reuses"] >= 1, sessions
+assert "library segment reuse(s)" in out.stderr, out.stderr
+print("session edit gate: %d runs, %s" % (len(texts), sessions))
+PY
 # Stdlib-base gate: every sample, every documented error program and
 # one program with a `use` declaration go through `genus serve` (stdlib,
 # vm engine). Stateless requests are checked as extensions of the

@@ -345,6 +345,27 @@ impl Session {
         self.sem.as_ref().map(|s| &s.checked)
     }
 
+    /// A fingerprint of everything the program's library segment (the
+    /// code of its library files, see [`Table::set_library_files`])
+    /// depends on: each library unit's live verdict key — its content and
+    /// its deps fingerprint, which folds in the whole-program environment
+    /// (models, `use`, `enrich`, class headers) — and its definition
+    /// fingerprint. It is the evidence the session itself trusts when it
+    /// reuses or restores the library's HIR, so two clean checks with
+    /// equal fingerprints hold the same library bodies over the same
+    /// definitions. `None` unless the last check was clean.
+    pub fn library_fingerprint(&self) -> Option<Fp> {
+        self.program()?;
+        let sem = self.sem.as_ref()?;
+        let lib = self.library_files() as usize;
+        let mut fps = vec![lib as Fp];
+        for i in 0..lib {
+            let (file, content, deps) = sem.live_keys[i]?;
+            fps.extend([Fp::from(file), content, deps, sem.def_fps[i]]);
+        }
+        Some(combine_fps(fps))
+    }
+
     /// Re-derives diagnostics (and the checked program) for the current
     /// sources, reusing memoized work where fingerprints allow.
     pub fn check(&mut self) -> SessionReport {

@@ -1,12 +1,12 @@
 //! The oracle suite: every check one fuzz input is subjected to.
 //!
-//! A [`Harness`] owns the long-lived warm checker session and the
+//! A [`Harness`] owns the long-lived warm compile session and the
 //! optional coverage map, and [`Harness::run_case`] runs one source
 //! through all of the oracles:
 //!
-//! 1. **Incremental parity** — a warm [`genus_check::Session`] that has
-//!    seen every previous case re-checks this source; its diagnostics
-//!    must equal a scratch compile's, byte for byte (spans included).
+//! 1. **Incremental parity** — a warm [`CompileSession`] that has seen
+//!    every previous case re-checks this source; its diagnostics must
+//!    equal a scratch compile's, byte for byte (spans included).
 //! 2. **Four-way engine differential** — AST interpreter, VM at O0, VM
 //!    at O2, and the Tier 2 closure engine must agree on the rendered
 //!    result (or the structured `(code, span)` trap), and on printed
@@ -18,8 +18,11 @@
 //! 4. **Serialization round-trip** — the O2 bytecode written through
 //!    [`genus_vm::write_program`] and read back must decode, and the
 //!    decoded program must behave identically (exact fuel included).
-//! 5. **Warm-program parity** — the warm session's checked program,
-//!    compiled and run, must match the scratch program's run.
+//! 5. **Warm-program parity** — the path `genus serve` takes for a
+//!    sessionful run: the warm session runs its checked program on the VM
+//!    at O2 ([`CompileSession::execute_checked`]), with bytecode resumed
+//!    from the library segment the session keeps across cases. It must
+//!    match the scratch program's O2 run, exact fuel included.
 //! 6. **Stdlib-base parity** — the path `genus serve` takes for a
 //!    stateless request: the source checked as an extension of the
 //!    process-wide stdlib base and its O2 bytecode linked against the
@@ -34,13 +37,13 @@
 //! that stops one engine mid-program stops another somewhere else.
 
 use crate::pipeline::{self, UNIT_NAME};
-use genus_check::Session;
 use genus_common::{EdgeMap, Severity};
 use genus_heap::Heap;
 use genus_interp::Limits;
 use genus_vm::run::{
     execute_ast_shared, execute_vm_shared, execute_vm_with, Compiled, Engine, Execution,
 };
+use genus_vm::session::CompileSession;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -126,7 +129,7 @@ fn compare(
 
 /// See the module docs.
 pub struct Harness {
-    warm: Session,
+    warm: CompileSession,
     fuel: u64,
     cov: Option<Rc<EdgeMap>>,
 }
@@ -137,7 +140,7 @@ impl Harness {
     #[must_use]
     pub fn new(fuel: u64, cov: Option<Rc<EdgeMap>>) -> Harness {
         Harness {
-            warm: pipeline::stdlib_session(),
+            warm: CompileSession::with_stdlib(),
             fuel,
             cov,
         }
@@ -251,13 +254,10 @@ impl Harness {
             }
         }
 
-        // Oracle 1 (program half): the warm session's program must run
-        // identically to the scratch program.
-        let warm_prog = self
-            .warm
-            .program()
-            .expect("warm session agreed there are no errors");
-        let warm_run = Compiled::new(2).execute(warm_prog, Engine::Vm, limits);
+        // Oracle 5: the warm session's program, on the code the session
+        // builds for it, runs identically to the scratch program. The
+        // warm check agreed there are no errors.
+        let warm_run = self.warm.execute_checked(Engine::Vm, limits);
         if let Some(d) = compare("incremental", "vm-o2", &vm2, "vm-o2-warm", &warm_run, true) {
             return Verdict::Divergence(d);
         }

@@ -3,7 +3,8 @@
 //! Every fuzz case is checked under one unit name, [`UNIT_NAME`], in a
 //! stdlib-seeded session shared with every other caller through
 //! `genus_check::base`: [`compile`] is the one-shot ("scratch") check the
-//! incremental oracle compares a warm [`stdlib_session`] against.
+//! incremental oracle compares a warm stdlib
+//! [`CompileSession`](genus_vm::session::CompileSession) against.
 //! [`roundtrip`] is the bytecode round-trip oracle's subject. Running
 //! programs is not done here: the oracles use `genus_vm::run`, the engine
 //! runner the facade and genus-serve use, and compare its `Execution`s.
@@ -14,8 +15,6 @@ use genus_vm::{read_program, write_program, VmProgram};
 
 /// Unit name every fuzz case is checked under.
 pub const UNIT_NAME: &str = "fuzz.genus";
-
-pub use genus_check::base::stdlib_session;
 
 /// One-shot ("scratch") compile of a fuzz case: fresh session, stdlib
 /// seeded, nothing warm. The incremental oracle compares this against a

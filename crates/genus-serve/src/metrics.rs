@@ -9,7 +9,9 @@
 //! request on any connection, and `genus serve --metrics-on-start`, which
 //! prints one snapshot line at boot (all zeroes except cache counters
 //! warmed from disk) so operators can verify the export schema without
-//! traffic.
+//! traffic. The `sessions` section sums the code work of sessionful runs
+//! (see [`crate::session`]): runs that built or reused their engine's
+//! code, and library segments generated or resumed from.
 //!
 //! Schema (fixed key order, one line):
 //!
@@ -20,12 +22,14 @@
 //!  "cache":{"entries":0,"hits":0,"misses":0,"compiles":0,"base_fallbacks":0,
 //!           "tier_compiles":0,"evictions":0,"disk_hits":0,"disk_writes":0},
 //!  "pool":{"workers":0,"steals":0},
+//!  "sessions":{"code_builds":0,"code_reuses":0,"library_builds":0,"library_reuses":0},
 //!  "latency":{"count":0,"mean_us":0,"p50_us":0,"p90_us":0,"p99_us":0,"max_us":0}}
 //! ```
 
 use crate::cache::ProgramCacheStats;
 use crate::proto::{EngineKind, Outcome, Response};
 use genus_common::histogram::Histogram;
+use genus_vm::session::CodeStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Aggregated request counters plus the latency histogram. All recording
@@ -81,8 +85,8 @@ impl ServerMetrics {
     }
 
     /// Renders the full metrics object as one JSON line (fixed key
-    /// order — see the module docs for the schema). Cache and pool
-    /// figures are passed in by the server, which owns them.
+    /// order — see the module docs for the schema). Cache, pool and
+    /// session figures are passed in by the server, which owns them.
     #[must_use]
     pub fn to_json(
         &self,
@@ -90,6 +94,7 @@ impl ServerMetrics {
         cache_entries: usize,
         workers: usize,
         steals: u64,
+        sessions: &CodeStats,
     ) -> String {
         format!(
             "{{\"requests\":{},\"ok\":{},\"trap\":{},\"error\":{},\
@@ -98,6 +103,7 @@ impl ServerMetrics {
              \"cache\":{{\"entries\":{},\"hits\":{},\"misses\":{},\"compiles\":{},\
              \"base_fallbacks\":{},\"tier_compiles\":{},\"evictions\":{},\"disk_hits\":{},\"disk_writes\":{}}},\
              \"pool\":{{\"workers\":{},\"steals\":{}}},\
+             \"sessions\":{{\"code_builds\":{},\"code_reuses\":{},\"library_builds\":{},\"library_reuses\":{}}},\
              \"latency\":{}}}",
             self.requests.load(Ordering::Relaxed),
             self.ok.load(Ordering::Relaxed),
@@ -119,6 +125,10 @@ impl ServerMetrics {
             cache.disk_writes,
             workers,
             steals,
+            sessions.builds,
+            sessions.reuses,
+            sessions.library_builds,
+            sessions.library_reuses,
             self.latency.snapshot().to_json(),
         )
     }
@@ -146,7 +156,13 @@ mod tests {
         m.record(&ok_response(EngineKind::Vm), 70);
         m.record(&ok_response(EngineKind::Jit), 90);
         m.record(&Response::error("e", "boom"), 10);
-        let j = m.to_json(&ProgramCacheStats::default(), 0, 4, 0);
+        let sessions = CodeStats {
+            builds: 3,
+            reuses: 1,
+            library_builds: 1,
+            library_reuses: 2,
+        };
+        let j = m.to_json(&ProgramCacheStats::default(), 0, 4, 0, &sessions);
         let v = json::parse(&j).expect("metrics JSON parses");
         let num = |path: &[&str]| {
             let mut cur = &v;
@@ -165,6 +181,10 @@ mod tests {
         assert_eq!(num(&["mem_total"]), 300);
         assert_eq!(num(&["latency", "count"]), 4);
         assert_eq!(num(&["pool", "workers"]), 4);
+        assert_eq!(num(&["sessions", "code_builds"]), 3);
+        assert_eq!(num(&["sessions", "code_reuses"]), 1);
+        assert_eq!(num(&["sessions", "library_builds"]), 1);
+        assert_eq!(num(&["sessions", "library_reuses"]), 2);
     }
 
     #[test]
@@ -172,6 +192,7 @@ mod tests {
         let m = ServerMetrics::new();
         m.record(&ok_response(EngineKind::Vm), 5);
         let s = ProgramCacheStats::default();
-        assert_eq!(m.to_json(&s, 1, 2, 3), m.to_json(&s, 1, 2, 3));
+        let c = CodeStats::default();
+        assert_eq!(m.to_json(&s, 1, 2, 3, &c), m.to_json(&s, 1, 2, 3, &c));
     }
 }

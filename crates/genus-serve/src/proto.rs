@@ -46,6 +46,8 @@
 //! nothing changed). Sessionful `check`/`run` responses append two
 //! counters, `"reused"` and `"rechecked"` — the per-request incremental
 //! reuse evidence. Stateless response lines are unchanged, byte for byte.
+//! A session keeps the `stdlib` value of the request that opened it; a
+//! later request that sets `stdlib` to the other value is refused.
 
 use genus_common::json::{self, Json};
 use genus_interp::Limits;
@@ -172,8 +174,13 @@ pub struct Request {
     pub engine: EngineKind,
     /// VM optimization level (0–2).
     pub opt_level: u8,
-    /// Whether the standard library is compiled in.
+    /// Whether the standard library is compiled in. A sessionful
+    /// request's session keeps the value of the request that opened it.
     pub stdlib: bool,
+    /// Whether the request line set `stdlib` itself rather than taking
+    /// the default. A sessionful request that sets it must agree with
+    /// its session.
+    pub stdlib_set: bool,
     /// Per-request resource budgets (fuel / memory / deadline).
     pub limits: Limits,
     /// Names a long-lived incremental compile session. `None` is the
@@ -199,6 +206,7 @@ impl Request {
             engine: EngineKind::default(),
             opt_level: 2,
             stdlib: true,
+            stdlib_set: false,
             limits: Limits::default(),
             session: None,
             action: Action::default(),
@@ -284,6 +292,7 @@ impl Request {
             Some(_) => return Err("`stdlib` must be a boolean".to_string()),
             None => true,
         };
+        let stdlib_set = v.get("stdlib").is_some();
         let mut limits = *defaults;
         if let Some(j) = v.get("fuel") {
             limits.fuel = Some(num_field(j, "fuel")? as u64);
@@ -300,6 +309,7 @@ impl Request {
             engine,
             opt_level,
             stdlib,
+            stdlib_set,
             limits,
             session,
             action,
@@ -505,6 +515,7 @@ mod tests {
         assert_eq!(r.engine, EngineKind::Vm);
         assert_eq!(r.opt_level, 2);
         assert!(r.stdlib, "stdlib is on by default, like `genus run`");
+        assert!(!r.stdlib_set);
         assert_eq!(r.limits, Limits::default());
     }
 
@@ -525,6 +536,7 @@ mod tests {
         assert_eq!(r.engine, EngineKind::Ast);
         assert_eq!(r.opt_level, 1);
         assert!(!r.stdlib, "explicit `stdlib: false` overrides the default");
+        assert!(r.stdlib_set);
         assert_eq!(r.limits.fuel, Some(99));
         assert_eq!(r.limits.memory, Some(20), "untouched fields keep defaults");
         assert_eq!(r.limits.deadline_ms, Some(500));

@@ -159,6 +159,7 @@ impl Server {
             self.cache.len(),
             self.pool.worker_count(),
             self.pool.steals(),
+            &self.sessions.code_stats(),
         )
     }
 

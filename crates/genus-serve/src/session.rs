@@ -16,10 +16,17 @@
 //! trade that guarantee for nothing (the whole point of a session is
 //! that re-checks are cheap). Distinct sessions on distinct connections
 //! still run concurrently; each entry is independently locked.
+//!
+//! A session is opened with or without the stdlib, as its first request
+//! says; a later request that sets `stdlib` to the other value is
+//! refused. The registry sums every session's code work ([`CodeStats`]:
+//! code builds and reuses, library-segment builds and reuses) for the
+//! server's metrics.
 
 use crate::proto::{ms_since, Action, Outcome, Request, Response, SessionReuse};
-use genus_vm::session::CompileSession;
+use genus_vm::session::{CodeStats, CompileSession};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -86,13 +93,21 @@ fn handle(session: &mut CompileSession, req: Request, submitted: Instant) -> Res
     }
 }
 
+/// One named session and whether it was opened with the stdlib.
+struct Entry {
+    stdlib: bool,
+    session: CompileSession,
+}
+
 /// The server's named-session table. Sessions are created on first use
 /// (with the stdlib iff the creating request asked for it) and live for
 /// the server's lifetime; each is independently locked, so concurrent
 /// connections using different sessions never contend.
 #[derive(Default)]
 pub struct SessionRegistry {
-    map: Mutex<HashMap<String, Arc<Mutex<CompileSession>>>>,
+    map: Mutex<HashMap<String, Arc<Mutex<Entry>>>>,
+    /// [`CodeStats`] summed over every session, in field order.
+    code: [AtomicU64; 4],
 }
 
 impl SessionRegistry {
@@ -118,16 +133,48 @@ impl SessionRegistry {
         let name = req.session.clone().expect("sessionful request");
         let entry = {
             let mut map = self.map.lock().expect("session registry poisoned");
-            Arc::clone(map.entry(name).or_insert_with(|| {
-                Arc::new(Mutex::new(if req.stdlib {
-                    CompileSession::with_stdlib()
-                } else {
-                    CompileSession::new()
+            Arc::clone(map.entry(name.clone()).or_insert_with(|| {
+                Arc::new(Mutex::new(Entry {
+                    stdlib: req.stdlib,
+                    session: if req.stdlib {
+                        CompileSession::with_stdlib()
+                    } else {
+                        CompileSession::new()
+                    },
                 }))
             }))
         };
-        let mut session = entry.lock().expect("session entry poisoned");
-        handle(&mut session, req, submitted)
+        let mut entry = entry.lock().expect("session entry poisoned");
+        if req.stdlib_set && req.stdlib != entry.stdlib {
+            let with = if entry.stdlib { "with" } else { "without" };
+            let message = format!("bad request: session `{name}` was opened {with} the stdlib");
+            return Response::error(req.id, message);
+        }
+        let before = entry.session.code_stats();
+        let response = handle(&mut entry.session, req, submitted);
+        let after = entry.session.code_stats();
+        let deltas = [
+            after.builds - before.builds,
+            after.reuses - before.reuses,
+            after.library_builds - before.library_builds,
+            after.library_reuses - before.library_reuses,
+        ];
+        for (counter, delta) in self.code.iter().zip(deltas) {
+            counter.fetch_add(delta, Ordering::Relaxed);
+        }
+        response
+    }
+
+    /// The code work of every session so far, summed.
+    pub fn code_stats(&self) -> CodeStats {
+        let [builds, reuses, library_builds, library_reuses] =
+            self.code.each_ref().map(|c| c.load(Ordering::Relaxed));
+        CodeStats {
+            builds,
+            reuses,
+            library_builds,
+            library_reuses,
+        }
     }
 }
 

@@ -380,6 +380,67 @@ fn session_cannot_replace_a_library_unit() {
     server.shutdown();
 }
 
+/// A session keeps the `stdlib` setting of the request that opened it: a
+/// later request setting the other value is a bad request (not a run
+/// that silently ignores it), one omitting the field runs as before, and
+/// the metrics count the sessions' code work.
+#[test]
+fn session_requests_must_agree_with_the_sessions_stdlib() {
+    let server = server(1);
+    let list = "int main() { ArrayList[int] l = new ArrayList[int](); l.add(5); return l.get(0); }";
+    let run = |id: &str, session: &str, stdlib: Option<bool>, src: &str| {
+        let stdlib = stdlib.map_or(String::new(), |b| format!(r#""stdlib":{b},"#));
+        format!(r#"{{"id":"{id}","session":"{session}",{stdlib}"action":"run","source":"{src}"}}"#)
+    };
+    let input = [
+        run("1", "lib", None, list),
+        run("2", "lib", Some(false), list),
+        run("3", "lib", Some(true), &list.replace('5', "6")),
+        run("4", "bare", Some(false), "int main() { return 7; }"),
+        run("5", "bare", Some(true), list),
+        run("6", "bare", None, "int main() { return 8; }"),
+        r#"{"id":"m","action":"metrics"}"#.to_string(),
+    ]
+    .join("\n");
+    let mut out = Vec::new();
+    server
+        .run_session(Cursor::new(input), &mut out)
+        .expect("session I/O");
+    let lines: Vec<genus_common::json::Json> = out
+        .lines()
+        .map(|l| genus_common::json::parse(&l.unwrap()).expect("valid response JSON"))
+        .collect();
+    let field = |i: usize, k: &str| lines[i].get(k).and_then(|v| v.as_str()).unwrap_or_default();
+    assert_eq!(lines.len(), 7);
+    for (i, value) in [(0, "5"), (2, "6"), (3, "7"), (5, "8")] {
+        assert_eq!(
+            (field(i, "outcome"), field(i, "value")),
+            ("ok", value),
+            "{i}"
+        );
+    }
+    for (i, session, with) in [(1, "lib", "with"), (4, "bare", "without")] {
+        assert_eq!(field(i, "outcome"), "error");
+        assert_eq!(
+            field(i, "message"),
+            format!("bad request: session `{session}` was opened {with} the stdlib")
+        );
+    }
+    let m = genus_common::json::parse(field(6, "value")).expect("metrics JSON");
+    let num = |k: &str| {
+        m.get("sessions")
+            .and_then(|s| s.get(k))
+            .and_then(|v| v.as_num())
+    };
+    // Four VM runs, each on an edited program; each session generated
+    // its library segment once, and the second `lib` run resumed from it.
+    assert_eq!(num("code_builds"), Some(4.0));
+    assert_eq!(num("code_reuses"), Some(0.0));
+    assert_eq!(num("library_builds"), Some(2.0));
+    assert_eq!(num("library_reuses"), Some(2.0));
+    server.shutdown();
+}
+
 /// The same protocol over a real TCP connection.
 #[test]
 fn tcp_session_round_trip() {

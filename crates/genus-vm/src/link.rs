@@ -1,5 +1,5 @@
-//! Segmented code generation, and linking programs against the stdlib's
-//! prebuilt code.
+//! Segmented code generation, and linking programs against prebuilt
+//! library code.
 //!
 //! A program is lowered and optimized in *segments*: first the bodies of
 //! its library files (the prelude and any library units loaded ahead of
@@ -11,16 +11,21 @@
 //! refers to user declarations, so the library segment comes out the same
 //! whatever follows it.
 //!
-//! That makes the library segment reusable: [`stdlib_code`] generates it
-//! once per process and optimization level from the stdlib base
-//! ([`genus_check::base`]), and [`link_to_stdlib`] resumes from a copy of
-//! it to generate only a program's own segment. For a program built by
-//! [`genus_check::base::StdlibBase::extend`] the result is identical —
-//! function ids, spec tables, specialization decisions and budget
-//! included — to [`crate::compile_optimized`] on the same program.
-//! [`crate::run::Compiled`] links exactly the programs that say they
-//! extend the process-wide base
-//! ([`CheckedProgram::extends_stdlib_base`]) and compiles the rest.
+//! That makes the library segment reusable. [`Codegen::library`]
+//! generates it, and [`resume`] — the one linking function — generates a
+//! program's own segment on a copy of it. A whole compile
+//! ([`crate::compile_optimized`]) is `resume` on the program's own
+//! library segment, so resuming from a segment generated for an equal
+//! library gives identical bytecode — function ids, spec tables,
+//! specialization decisions and budget included. Two callers keep a
+//! segment:
+//!
+//! | segment | generated | resumed by |
+//! |---|---|---|
+//! | [`stdlib_code`] | once per process and level, from the stdlib base ([`genus_check::base`]) | [`link_to_stdlib`], for programs that [`CheckedProgram::extends_stdlib_base`] |
+//! | a session's | by [`crate::session::CompileSession`], keyed by [`genus_check::Session::library_fingerprint`] and level | [`crate::run::Compiled`] holders the session hands it to |
+//!
+//! [`crate::run::Compiled`] picks among them and a whole compile.
 
 use crate::bytecode::VmProgram;
 use crate::compile::{lower_segment, ConstIndex};
@@ -55,9 +60,27 @@ impl Codegen {
         }
     }
 
+    /// The library segment of `prog` at `level` (clamped to `0..=2`):
+    /// the code of its library files, ready to [`resume`] from.
+    #[must_use]
+    pub fn library(prog: &CheckedProgram, level: u8) -> Codegen {
+        let mut cg = Codegen::new(level);
+        let lib = prog.table.library_files();
+        if lib > 0 {
+            cg.segment(prog, 0..lib);
+        }
+        cg
+    }
+
+    /// The optimization level the code is generated at.
+    #[must_use]
+    pub fn level(&self) -> u8 {
+        self.level
+    }
+
     /// Lowers the bodies of `prog` owned by `files`, then specializes
     /// (level 2), cleans up and reifies types (level ≥ 1) the new code.
-    pub fn segment(&mut self, prog: &CheckedProgram, files: Range<u32>) {
+    fn segment(&mut self, prog: &CheckedProgram, files: Range<u32>) {
         let first_func = self.code.funcs.len();
         let first_type = self.code.types.len();
         lower_segment(&mut self.code, &mut self.consts, prog, &files);
@@ -69,30 +92,23 @@ impl Codegen {
             reify_types_from(&mut self.code, prog, first_type);
         }
     }
-
-    /// The finished program.
-    #[must_use]
-    pub fn into_program(self) -> VmProgram {
-        self.code
-    }
 }
 
-/// The library files, then everything else; one segment for a program
-/// without a library.
-fn segments(prog: &CheckedProgram) -> impl Iterator<Item = Range<u32>> {
-    let lib = prog.table.library_files();
-    [0..lib, lib..u32::MAX]
-        .into_iter()
-        .filter(|r| !r.is_empty())
+/// Generates `prog`'s own segment on `lib` and returns the finished
+/// program. `lib` must be a library segment ([`Codegen::library`]) of a
+/// program whose library files check to the same bodies over the same
+/// definitions as `prog`'s; the result is then equal to
+/// [`crate::compile_optimized`]`(prog, lib.level())`, without lowering or
+/// optimizing the library again.
+#[must_use]
+pub fn resume(mut lib: Codegen, prog: &CheckedProgram) -> VmProgram {
+    lib.segment(prog, prog.table.library_files()..u32::MAX);
+    lib.code
 }
 
 /// Lowers and optimizes `prog` at `level`, segment by segment.
 pub(crate) fn compile_segmented(prog: &CheckedProgram, level: u8) -> VmProgram {
-    let mut cg = Codegen::new(level);
-    for files in segments(prog) {
-        cg.segment(prog, files);
-    }
-    cg.into_program()
+    resume(Codegen::library(prog, level), prog)
 }
 
 /// The stdlib base's library segment at `level` (clamped to `0..=2`),
@@ -104,29 +120,21 @@ pub fn stdlib_code(level: u8) -> Option<&'static Codegen> {
     let level = level.min(2);
     CODE[usize::from(level)]
         .get_or_init(|| {
-            let base = genus_check::base::stdlib_base();
-            let prog = base.program()?;
-            let mut cg = Codegen::new(level);
-            cg.segment(prog, 0..base.library_files());
-            Some(cg)
+            let prog = genus_check::base::stdlib_base().program()?;
+            Some(Codegen::library(prog, level))
         })
         .as_ref()
 }
 
 /// Generates the code of a program built by
-/// [`genus_check::base::StdlibBase::extend`]: a copy of the stdlib's
-/// prebuilt segment plus the program's own. Equal to
-/// [`crate::compile_optimized`]`(prog, level)`, without lowering or
-/// optimizing the stdlib again.
+/// [`genus_check::base::StdlibBase::extend`]: [`resume`] from a copy of
+/// [`stdlib_code`].
 ///
 /// # Panics
 ///
 /// If the stdlib base did not check (no program can extend it then).
 #[must_use]
 pub fn link_to_stdlib(prog: &CheckedProgram, level: u8) -> VmProgram {
-    let mut cg = stdlib_code(level)
-        .expect("only programs extending a checked stdlib base are linked")
-        .clone();
-    cg.segment(prog, prog.table.library_files()..u32::MAX);
-    cg.into_program()
+    let lib = stdlib_code(level).expect("only programs extending a checked stdlib base are linked");
+    resume(lib.clone(), prog)
 }

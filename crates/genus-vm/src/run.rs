@@ -9,13 +9,11 @@
 //! four-leg differential (AST, VM-O0, VM-O2, Tier 2) compares the same
 //! observables wherever it is checked. Outside the benches they also
 //! get their code from one holder, [`Compiled`], which builds a
-//! program's bytecode and Tier 2 once and decides whether the bytecode
-//! links to the stdlib's prebuilt code.
+//! program's bytecode and Tier 2 once and decides which prebuilt library
+//! segment, if any, the bytecode resumes from.
 
-use crate::{
-    compile_optimized, compile_tier, link_to_stdlib, OptStats, TierProgram, TierStats, Vm,
-    VmProgram,
-};
+use crate::link::{link_to_stdlib, resume, Codegen};
+use crate::{compile_optimized, compile_tier, OptStats, TierProgram, TierStats, Vm, VmProgram};
 use genus_check::CheckedProgram;
 use genus_common::Span;
 use genus_interp::{DispatchStats, Interp, Limits, ResourceStats, RuntimeError};
@@ -227,13 +225,21 @@ fn vm_execution(
 /// the VM and Tier 2 run the same code and use the same fuel.
 ///
 /// The holder does not own the program: every method takes it, and it
-/// must be the same program each time. A program that
-/// [`StdlibBase::extend`](genus_check::base::StdlibBase::extend) built on
-/// the process-wide stdlib base gets bytecode linked to the stdlib's
-/// prebuilt segment ([`link_to_stdlib`]); any other is compiled whole
-/// ([`compile_optimized`]). Both give the same bytecode.
+/// must be the same program each time. Its bytecode comes from the first
+/// of these that applies, and all three give the same bytecode (see
+/// [`crate::link`]):
+///
+/// 1. a program that
+///    [`StdlibBase::extend`](genus_check::base::StdlibBase::extend) built
+///    on the process-wide stdlib base resumes from the stdlib's prebuilt
+///    segment ([`link_to_stdlib`]);
+/// 2. a holder given a library segment ([`Compiled::with_library`], as a
+///    [`CompileSession`](crate::session::CompileSession) does) resumes
+///    from a copy of it;
+/// 3. anything else is compiled whole ([`compile_optimized`]).
 pub struct Compiled {
     opt_level: u8,
+    library: Option<Arc<Codegen>>,
     vm: OnceLock<Arc<VmProgram>>,
     tier: OnceLock<Arc<TierProgram>>,
 }
@@ -245,8 +251,22 @@ impl Compiled {
     pub fn new(opt_level: u8) -> Compiled {
         Compiled {
             opt_level: opt_level.min(2),
+            library: None,
             vm: OnceLock::new(),
             tier: OnceLock::new(),
+        }
+    }
+
+    /// Nothing built yet; bytecode will resume from `library`, a library
+    /// segment ([`Codegen::library`]) of a program whose library checks
+    /// to the same bodies over the same definitions as the programs this
+    /// holder is given, at that segment's level.
+    #[must_use]
+    pub fn with_library(library: Arc<Codegen>) -> Compiled {
+        let level = library.level();
+        Compiled {
+            library: Some(library),
+            ..Compiled::new(level)
         }
     }
 
@@ -269,10 +289,10 @@ impl Compiled {
     /// The program's bytecode, built on first use.
     pub fn vm_code(&self, prog: &CheckedProgram) -> Arc<VmProgram> {
         Arc::clone(self.vm.get_or_init(|| {
-            Arc::new(if prog.extends_stdlib_base() {
-                link_to_stdlib(prog, self.opt_level)
-            } else {
-                compile_optimized(prog, self.opt_level)
+            Arc::new(match &self.library {
+                _ if prog.extends_stdlib_base() => link_to_stdlib(prog, self.opt_level),
+                Some(lib) => resume(Codegen::clone(lib), prog),
+                None => compile_optimized(prog, self.opt_level),
             })
         }))
     }

@@ -17,6 +17,17 @@
 //!    that changes whenever a re-check may have changed the checked
 //!    program. Re-running an unchanged program skips bytecode
 //!    compilation entirely; editing a body invalidates exactly once.
+//! 3. **The library segment.** Below the holder the session keeps one
+//!    slot: the code of the program's library files (prelude and
+//!    stdlib, lowered and optimized — see [`crate::link`]), keyed by
+//!    [`Session::library_fingerprint`] and the opt level. Each new
+//!    generation's holder resumes from it, so an edit lowers and
+//!    optimizes only the user units. The slot is rebuilt when an edit
+//!    changes what the library's verdicts depend on (a model, `use`,
+//!    `enrich`, a class header, a top-level name) or the level changes,
+//!    and is built only when a VM or Tier-2 run needs bytecode — an
+//!    AST-only session builds none. Resumed bytecode equals a whole
+//!    compile's, because a whole compile is the same two segments.
 //!
 //! The facade (`genus::CompileSession`, `genus check --watch`) and
 //! genus-serve's sessionful requests both run on it.
@@ -34,10 +45,30 @@
 //! assert!(report.stats.units_not_rechecked() >= 5);
 //! ```
 
-use crate::run::{finish, Compiled, Engine, Execution, RunResult};
+use crate::link::Codegen;
+use crate::run::{
+    execute_ast_shared, finish, with_big_stack, Compiled, Engine, Execution, RunResult,
+};
+use crate::VmProgram;
 use genus_check::{CheckReport, CheckedProgram, Session, SessionReport, SessionStats};
 use genus_common::{diag, Diagnostic, ErrorFormat, SourceMap};
 use genus_interp::Limits;
+use std::sync::Arc;
+
+/// Cumulative counters of a session's code work: how often a run built
+/// or reused its engine's code, and how often new bytecode resumed from
+/// a kept library segment instead of generating one.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct CodeStats {
+    /// VM and Tier-2 runs that built the code their engine runs.
+    pub builds: u64,
+    /// VM and Tier-2 runs that found it already built.
+    pub reuses: u64,
+    /// Library segments generated.
+    pub library_builds: u64,
+    /// Bytecode builds that resumed from the kept library segment.
+    pub library_reuses: u64,
+}
 
 /// A long-lived, editable compilation pipeline: named units go in via
 /// [`update_source`](CompileSession::update_source), diagnostics and
@@ -52,8 +83,12 @@ pub struct CompileSession {
     /// The compiled code of the current program, keyed by the session
     /// generation it belongs to.
     code: Option<(u64, Compiled)>,
+    /// The library segment last generated, keyed by the library
+    /// fingerprint it was generated for (its level is its own).
+    library: Option<(u64, Arc<Codegen>)>,
     /// Whether the last run found its engine's compiled code cached.
     code_reused: bool,
+    code_stats: CodeStats,
 }
 
 impl Default for CompileSession {
@@ -69,7 +104,9 @@ impl CompileSession {
             inner: Session::new(),
             opt_level: 2,
             code: None,
+            library: None,
             code_reused: false,
+            code_stats: CodeStats::default(),
         }
     }
 
@@ -169,23 +206,57 @@ impl CompileSession {
 
     /// Runs `main()` of the last check's program on `engine`, without
     /// checking again, reusing compiled code when the generation still
-    /// matches.
+    /// matches and the library segment when the library fingerprint and
+    /// the level still match.
     ///
     /// # Panics
     ///
     /// When the last check had errors (or no check has run).
     pub fn execute_checked(&mut self, engine: Engine, limits: Limits) -> Execution {
-        let generation = self.inner.generation();
         let prog = self
             .inner
             .program()
             .expect("no errors implies a checked program");
+        if engine == Engine::Ast {
+            self.code_reused = false;
+            return with_big_stack(|| execute_ast_shared(prog, limits));
+        }
+        let generation = self.inner.generation();
         let code = match &mut self.code {
             Some((g, code)) if *g == generation => code,
-            slot => &slot.insert((generation, Compiled::new(self.opt_level))).1,
+            slot => {
+                let lib = library_segment(
+                    &mut self.library,
+                    &mut self.code_stats,
+                    &self.inner,
+                    self.opt_level,
+                );
+                &slot.insert((generation, Compiled::with_library(lib))).1
+            }
         };
         self.code_reused = code.built(engine);
+        if self.code_reused {
+            self.code_stats.reuses += 1;
+        } else {
+            self.code_stats.builds += 1;
+        }
         code.execute(prog, engine, limits)
+    }
+
+    /// Cumulative counters of the session's code work.
+    pub fn code_stats(&self) -> CodeStats {
+        self.code_stats
+    }
+
+    /// The bytecode of the current program, if a VM or Tier-2 run has
+    /// built it since the last change.
+    pub fn built_code(&self) -> Option<Arc<VmProgram>> {
+        match &self.code {
+            Some((g, code)) if *g == self.inner.generation() && code.built(Engine::Vm) => {
+                Some(code.vm_code(self.inner.program()?))
+            }
+            _ => None,
+        }
     }
 
     /// Whether the last run reused the compiled code its engine needs
@@ -203,6 +274,33 @@ impl CompileSession {
     /// Returns rendered diagnostics or the runtime error message.
     pub fn run(&mut self, engine: Engine, limits: Limits) -> Result<RunResult, String> {
         finish(self.execute(engine, limits)?)
+    }
+}
+
+/// The library segment of `session`'s checked program at `level`: the
+/// one in `slot` while the library fingerprint and the level still match,
+/// else a new one, kept in `slot` in its place.
+fn library_segment(
+    slot: &mut Option<(u64, Arc<Codegen>)>,
+    stats: &mut CodeStats,
+    session: &Session,
+    level: u8,
+) -> Arc<Codegen> {
+    let fp = session
+        .library_fingerprint()
+        .expect("a clean check has a library fingerprint");
+    match slot {
+        Some((f, lib)) if *f == fp && lib.level() == level => {
+            stats.library_reuses += 1;
+            Arc::clone(lib)
+        }
+        _ => {
+            stats.library_builds += 1;
+            let prog = session.program().expect("a clean check has a program");
+            let lib = Arc::new(Codegen::library(prog, level));
+            *slot = Some((fp, Arc::clone(&lib)));
+            lib
+        }
     }
 }
 

@@ -622,12 +622,15 @@ fn cmd_serve(
             let mut stdout = std::io::stdout().lock();
             let result = server.run_session(stdin, &mut stdout);
             let stats = server.cache_stats();
+            let code = server.sessions().code_stats();
             server.shutdown();
             match result {
                 Ok(handled) => {
                     eprintln!(
-                        "genus-serve: {handled} request(s), {} compile(s), {} cache hit(s), {} disk hit(s), {} tier compile(s)",
-                        stats.compiles, stats.hits, stats.disk_hits, stats.tier_compiles
+                        "genus-serve: {handled} request(s), {} compile(s), {} cache hit(s), {} disk hit(s), {} tier compile(s), \
+                         {} session code build(s), {} session code reuse(s), {} library segment build(s), {} library segment reuse(s)",
+                        stats.compiles, stats.hits, stats.disk_hits, stats.tier_compiles,
+                        code.builds, code.reuses, code.library_builds, code.library_reuses
                     );
                     ExitCode::SUCCESS
                 }

@@ -38,12 +38,13 @@ pub use genus_interp::{
     DispatchStats, ErrorKind, Interp, Limits, Meter, ResourceStats, RuntimeError, Value,
 };
 pub use genus_types::{caches_enabled, set_caches_enabled, CacheStats};
+pub use genus_vm::link;
 pub use genus_vm::run::{
     execute_ast_shared, execute_tier_shared, execute_vm_shared, Engine, Execution, RunResult,
     INTERP_STACK_SIZE,
 };
 use genus_vm::run::{finish, Compiled};
-pub use genus_vm::session::CompileSession;
+pub use genus_vm::session::{CodeStats, CompileSession};
 pub use genus_vm::{
     compile_optimized, compile_program, compile_tier, OptStats, TierProgram, TierStats, Vm,
     VmProgram,

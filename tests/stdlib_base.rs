@@ -17,6 +17,7 @@ use genus_repro::{
     compile_optimized, compile_tier, execute_tier_shared, execute_vm_shared, Execution, Limits,
 };
 use genus_serve::ProgramCache;
+use genus_vm::link::resume;
 use genus_vm::run::Compiled;
 use genus_vm::{link_to_stdlib, write_program, Codegen, VmProgram};
 use std::sync::Arc;
@@ -408,11 +409,8 @@ int main() { return libTag(); }";
     let (ep, wp) = (ext.program.unwrap(), whole.program.unwrap());
     // Only the process-wide stdlib base has prebuilt code to link to.
     assert!(!ep.extends_stdlib_base());
-    let files = base.library_files();
-    let mut cg = Codegen::new(2);
-    cg.segment(base.program().expect("library checks"), 0..files);
-    cg.segment(&ep, files..u32::MAX);
-    let linked = cg.into_program();
+    let library = Codegen::library(base.program().expect("library checks"), 2);
+    let linked = resume(library, &ep);
     let full = compile_optimized(&wp, 2);
     assert!(bytes(&linked) == bytes(&full));
     assert_eq!(run_both(&ep, linked), run_both(&wp, full));
